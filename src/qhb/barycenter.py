@@ -11,10 +11,24 @@ minimizer c, characterized by the residual equation
     R(c) = sum_i w_i Phi_c(q_i) = 0        (R(c) = -grad G_c(0) / 2,
                                             G_c(x) = G(Phi_c(x))).
 
-The solver iterates the chart-recentered step c <- Phi_c(eta R(c)/W):
-the new center is the point at chart coordinate eta * (weighted mean of
-the mapped points).  With eta = 1 a single point is reached in one step;
-backtracking on eta keeps the energy strictly decreasing in general.
+The solver takes Newton steps in the chart G_c = G o Phi_c, in which
+geodesics through 0 are straight lines.  Each sweep over the points
+returns R(c), G(c) and the real 4n x 4n Gram matrix C = P^T diag(w) P of
+the mapped points p_i = Phi_c(q_i); the Hessian of G_c at 0 is then
+
+    H = 2W I + 2 rho(S) - 4C,    S_jk = sum_i w_i p_ij conj(p_ik),
+
+with rho(S) the real matrix of x -> (sum_k S_jk x_k)_j.  Strict geodesic
+convexity makes H positive definite.  The step solves H delta = 2R (the
+negative gradient of G_c at 0), maps delta into the open unit ball by
+
+    x = 2 delta / (1 + sqrt(1 + 4|delta|^2)),
+
+and moves to c <- Phi_c(eta x).  For a single point p in the chart,
+delta = p / (1 - |p|^2) and x = p, so one point is reached in one step;
+near the solution x = delta + O(|delta|^3), so convergence is quadratic.
+Backtracking on eta keeps the energy from increasing; steps whose energy
+change is below the rounding of the terms of G are judged on |R|.
 """
 
 from __future__ import annotations
@@ -112,8 +126,12 @@ class SolverResult:
     residual_norm: float
     energy: float
     iterations: int
-    converged: bool
+    stop_reason: str          # "converged", "max_iters" or "stalled"
     energy_trace: tuple = ()  # energy after the initial point and each accepted step
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
 
 
 def _energy_batch(data: WeightedPoints, xs: np.ndarray) -> np.ndarray:
@@ -163,15 +181,31 @@ def _initial_point(data: WeightedPoints) -> np.ndarray:
     return mean
 
 
-# -- fused residual/energy pass ---------------------------------------------
+# -- fused residual/energy/Gram pass ----------------------------------------
 #
-# One sweep over the points yields both R(c) and G(c): the energy term
-# |1 - <c,q_i>|^2 equals |1 - <q_i,c>|^2, which is the squared modulus of
-# the denominator already needed for Phi_c(q_i).  For desk-sized inputs a
-# plain-float sweep avoids per-call array overhead; both paths produce the
-# same values (cross-checked by tests) and both reduce in a fixed order.
+# One sweep over the points yields R(c), G(c) and the Gram matrix of the
+# mapped points: the energy term |1 - <c,q_i>|^2 equals |1 - <q_i,c>|^2,
+# which is the squared modulus of the denominator already needed for
+# Phi_c(q_i).  For desk-sized inputs a plain-float sweep avoids per-call
+# array overhead; both paths share the reductions below, so they produce
+# the same values (cross-checked by tests) and reduce in a fixed order.
 
-_SCALAR_CUTOFF = 64  # use the plain-float sweep when size * n is below this
+_SCALAR_CUTOFF = 32  # use the plain-float sweep when size * n is at most this
+
+
+def _reduce(data: WeightedPoints, cc: float, phis: np.ndarray, den2: np.ndarray):
+    """R(c), |R(c)|, G(c), the Gram matrix P^T diag(w) P and the rounding
+    scale of G, from the mapped points phis (N, n, 4), which are scaled in
+    place, and the denominators den2 (N,).  The scale is the size of the
+    three terms whose cancellation gives G."""
+    r_vec = np.einsum("i,ijk->jk", data.weights, phis)
+    w_log = float(data.weights @ np.log(den2))
+    w_norm = data.total_weight * math.log1p(-cc)
+    e = w_log - w_norm - data._log_const
+    e_scale = abs(w_log) + abs(w_norm) + abs(data._log_const)
+    flat = phis.reshape(phis.shape[0], -1)
+    flat *= np.sqrt(data.weights)[:, None]
+    return r_vec, float(q.vnorm(r_vec)), e, flat.T @ flat, e_scale
 
 
 def _pass_vec(data: WeightedPoints, c: np.ndarray):
@@ -182,10 +216,7 @@ def _pass_vec(data: WeightedPoints, c: np.ndarray):
     den2 = q.qnorm2(den)                              # |1 - <q_i,c>|^2, (N,)
     acz = q.qmul(c, ip[:, None, :]) / (1.0 + s) + s * data.points
     phis = q.qmul(c - acz, (q.qconj(den) / den2[:, None])[:, None, :])
-    r_vec = np.einsum("i,ijk->jk", data.weights, phis)
-    e = float(data.weights @ np.log(den2)) \
-        - data.total_weight * np.log1p(-cc) - data._log_const
-    return r_vec, float(q.vnorm(r_vec)), e
+    return _reduce(data, cc, phis, den2)
 
 
 def _qmul_s(a, b):
@@ -198,7 +229,8 @@ def _qmul_s(a, b):
 
 
 def _phi_point_s(c, s, z):
-    """Phi_c of one point, both as tuples-of-4-tuples; returns (image, den2)."""
+    """Phi_c of one point, both as nested sequences of 4 floats; returns
+    (image, den2)."""
     ipw = ipx = ipy = ipz = 0.0
     for cj, zj in zip(c, z):
         # conj(c_j) * z_j accumulated inline
@@ -219,31 +251,56 @@ def _phi_point_s(c, s, z):
         num = (cj[0] - a[0] - s * zj[0], cj[1] - a[1] - s * zj[1],
                cj[2] - a[2] - s * zj[2], cj[3] - a[3] - s * zj[3])
         out.append(_qmul_s(num, dinv))
-    return tuple(out), den2
+    return out, den2
 
 
-def _pass_scalar(pts, wts, log_const, total, c):
-    cc = sum(x * x for row in c for x in row)
+def _pass_scalar(data: WeightedPoints, c: np.ndarray):
+    cl = c.tolist()
+    cc = sum(x * x for row in cl for x in row)
     s = math.sqrt(1.0 - cc)
-    n = len(c)
-    acc = [[0.0, 0.0, 0.0, 0.0] for _ in range(n)]
-    e = 0.0
-    for w, z in zip(wts, pts):
-        img, den2 = _phi_point_s(c, s, z)
-        e += w * math.log(den2)
-        for j in range(n):
-            aj, ij = acc[j], img[j]
-            aj[0] += w * ij[0]; aj[1] += w * ij[1]
-            aj[2] += w * ij[2]; aj[3] += w * ij[3]
-    e -= total * math.log1p(-cc) + log_const
-    rn = math.sqrt(sum(x * x for row in acc for x in row))
-    r_vec = np.array(acc)
-    return r_vec, rn, e
+    imgs, den2 = zip(*[_phi_point_s(cl, s, z) for z in data.points.tolist()])
+    return _reduce(data, cc, np.array(imgs), np.array(den2))
 
 
-def _scalar_state(data: WeightedPoints):
-    pts = tuple(tuple(tuple(comp) for comp in point) for point in data.points)
-    return pts, tuple(data.weights), data._log_const, data.total_weight
+def _chart_step(c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Phi_c(x) for one chart point x; plain floats, as one point is too
+    few for array arithmetic to pay off."""
+    cl = c.tolist()
+    s = math.sqrt(1.0 - sum(v * v for row in cl for v in row))
+    return np.array(_phi_point_s(cl, s, x.tolist())[0])
+
+
+# -- Newton step in the chart ------------------------------------------------
+#
+# x^T rho(S) x = sum_i w_i |<x, p_i>|^2 with S_jk = sum_i w_i p_ij conj(p_ik),
+# and rho(S) is a fixed linear image of the Gram matrix C: component e of
+# a conj(b) is a^T B_e b, and the matrix of left multiplication by s is
+# sum_e s_e L_e.  _GRAM_TO_RHO[c, d, a, b] = sum_e (L_e)_cd (B_e)_ab.
+
+_E = np.eye(4)
+_GRAM_TO_RHO = np.einsum("edc,abe->cdab", q.qmul(_E[:, None], _E[None, :]),
+                         q.qmul(_E[:, None], q.qconj(_E)[None, :]))
+
+
+def _chart_hessian(gram: np.ndarray, total: float) -> np.ndarray:
+    """Hessian of G_c at the chart origin, H = 2W I + 2 rho(S) - 4C, from
+    the Gram matrix C = P^T diag(w) P of the mapped points p_i = Phi_c(q_i);
+    positive definite because G is strictly geodesically convex."""
+    m = gram.shape[0]
+    n = m // 4
+    rho = np.einsum("cdab,jakb->jckd", _GRAM_TO_RHO, gram.reshape(n, 4, n, 4))
+    return 2.0 * total * np.eye(m) + 2.0 * rho.reshape(m, m) - 4.0 * gram
+
+
+def _newton_point(r_vec: np.ndarray, gram: np.ndarray, total: float) -> np.ndarray:
+    """Chart point of the Newton step: delta solves H delta = 2R, the
+    negative gradient of G_c at 0, and is mapped into the open unit ball by
+    delta -> 2 delta / (1 + sqrt(1 + 4|delta|^2)), the inverse of
+    x -> x / (1 - |x|^2).  For a single point p, delta = p / (1 - |p|^2),
+    so the step lands on p; near the solution it moves by delta + O(|delta|^3)."""
+    delta = np.linalg.solve(_chart_hessian(gram, total), 2.0 * r_vec.ravel())
+    shrink = 2.0 / (1.0 + math.sqrt(1.0 + 4.0 * float(delta @ delta)))
+    return shrink * delta.reshape(r_vec.shape)
 
 
 def solve(data: WeightedPoints, config: SolverConfig | None = None,
@@ -253,8 +310,9 @@ def solve(data: WeightedPoints, config: SolverConfig | None = None,
     Starts from the Euclidean weighted mean (clipped to norm 0.9) unless
     `start` is given; the result is independent of the start up to the
     tolerance.  Convergence is declared on the residual norm
-    |R(c)| <= tol * total_weight.  On failure to converge the best
-    iterate is still returned with converged=False.
+    |R(c)| <= tol * total_weight.  Otherwise the best iterate is still
+    returned, with stop_reason "max_iters" when the iteration budget ran
+    out and "stalled" when the line search found no acceptable step.
     """
     cfg = config or SolverConfig()
     total = data.total_weight
@@ -262,58 +320,39 @@ def solve(data: WeightedPoints, config: SolverConfig | None = None,
     if float(q.vnorm2(c)) >= 1.0:
         raise NotInBall("start point outside the open unit ball")
 
-    if data.size * data.n <= _SCALAR_CUTOFF:
-        pts, wts, log_const, tw = _scalar_state(data)
+    sweep = _pass_scalar if data.size * data.n <= _SCALAR_CUTOFF else _pass_vec
 
-        def sweep(point):
-            return _pass_scalar(pts, wts, log_const, tw,
-                                tuple(tuple(comp) for comp in point))
-
-        def chart_step(center, m, eta):
-            ctup = tuple(tuple(comp) for comp in center)
-            s = math.sqrt(1.0 - sum(x * x for row in ctup for x in row))
-            target = tuple(tuple(eta * x for x in comp) for comp in m)
-            img, _ = _phi_point_s(ctup, s, target)
-            return np.array(img)
-    else:
-
-        def sweep(point):
-            return _pass_vec(data, point)
-
-        def chart_step(center, m, eta):
-            return mobius.hua_apply(mobius.hua_new(center), eta * m)
-
-    r_vec, rn, e_c = sweep(c)
+    r_vec, rn, e_c, gram, e_scale = sweep(data, c)
     trace = [e_c]
     iterations = 0
-    converged = False
     while True:
         if rn <= cfg.tol * total:
-            converged = True
+            stop_reason = "converged"
             break
         if iterations >= cfg.max_iters:
+            stop_reason = "max_iters"
             break
-        m = r_vec / total  # chart mean; |m| < 1 always
-        # energy decreases smaller than this are invisible in float64,
-        # so steps in that regime are judged on the residual instead
-        e_floor = 8.0 * _EPS * (1.0 + abs(e_c))
+        x = _newton_point(r_vec, gram, total)
+        # energy decreases smaller than the rounding of the terms that
+        # make up G are invisible in float64, so steps in that regime are
+        # judged on the residual instead
+        e_floor = 8.0 * _EPS * (1.0 + abs(e_c) + e_scale)
         eta = cfg.step
-        cand = chart_step(c, m, eta)
-        r_cand, rn_cand, e_cand = sweep(cand)
-        stalled = False
-        while cfg.line_search and e_cand >= e_c:
-            if e_cand <= e_c + e_floor and rn_cand < rn:
-                e_cand = min(e_cand, e_c)
+        while True:
+            cand = _chart_step(c, eta * x)
+            r_new, rn_new, e_new, gram_new, scale_new = sweep(data, cand)
+            if not cfg.line_search or e_new < e_c:
+                break
+            if e_new <= e_c + e_floor and rn_new < rn:
+                e_new = e_c  # recorded as no increase
                 break
             eta *= 0.5
             if eta < _ETA_FLOOR:
-                stalled = True
                 break
-            cand = chart_step(c, m, eta)
-            r_cand, rn_cand, e_cand = sweep(cand)
-        if stalled:
-            break  # no acceptable step exists in this chart
-        c, r_vec, rn, e_c = cand, r_cand, rn_cand, e_cand
+        if eta < _ETA_FLOOR:
+            stop_reason = "stalled"  # no acceptable step exists in this chart
+            break
+        c, r_vec, rn, e_c, gram, e_scale = cand, r_new, rn_new, e_new, gram_new, scale_new
         trace.append(e_c)
         iterations += 1
 
@@ -322,7 +361,7 @@ def solve(data: WeightedPoints, config: SolverConfig | None = None,
         residual_norm=rn,
         energy=e_c,
         iterations=iterations,
-        converged=converged,
+        stop_reason=stop_reason,
         energy_trace=tuple(trace),
     )
 

@@ -150,6 +150,7 @@ def test_single_point_lands_in_one_step(rng):
 def test_two_sevenths():
     res = bc.solve(two_weighted())
     assert res.converged
+    assert res.stop_reason == "converged"
     assert abs(res.barycenter[0, 0] - 2 / 7) <= 1e-10
     assert np.max(np.abs(res.barycenter[0, 1:])) == 0.0
 
@@ -206,7 +207,19 @@ def test_energy_trace_never_increases(rng):
 def test_not_converged_is_reported():
     res = bc.solve(two_weighted(), bc.SolverConfig(max_iters=1, tol=1e-15))
     assert not res.converged
+    assert res.stop_reason == "max_iters"
     assert res.iterations == 1
+
+
+def test_stalled_is_reported(rng):
+    # a tolerance below float64 resolution: the line search runs out of
+    # steps that lower the energy or the residual
+    data = random_weighted_points(rng, 2, 5)
+    res = bc.solve(data, bc.SolverConfig(tol=1e-300))
+    assert not res.converged
+    assert res.stop_reason == "stalled"
+    assert res.iterations < 500
+    assert res.residual_norm <= 1e-14 * data.total_weight
 
 
 def test_solver_config_validation():
@@ -229,12 +242,57 @@ def test_scalar_and_vector_paths_agree(rng):
     for n in (1, 2, 3):
         data = random_weighted_points(rng, n, 7)
         c = random_ball_point(rng, n, rmax=0.6)
-        r1, n1, e1 = bc._pass_vec(data, c)
-        r2, n2, e2 = bc._pass_scalar(*bc._scalar_state(data),
-                                     tuple(tuple(row) for row in c))
+        r1, n1, e1, g1, s1 = bc._pass_vec(data, c)
+        r2, n2, e2, g2, s2 = bc._pass_scalar(data, c)
         assert np.max(np.abs(r1 - r2)) <= 1e-13
         assert n1 == pytest.approx(n2, abs=1e-13)
         assert e1 == pytest.approx(e2, abs=1e-12)
+        assert np.max(np.abs(g1 - g2)) <= 1e-13
+        assert s1 == pytest.approx(s2, abs=1e-12)
+
+
+def test_stalled_probe_regressions(rng):
+    # inputs on which the first-order chart step, or the Newton step with
+    # an acceptance floor blind to the rounding of the energy's terms,
+    # stalled short of tol: weights over six decades, points near the edge
+    cases = [(random_ball_points(rng, n, size, 0.9), 10.0 ** rng.uniform(0.0, 6.0, size))
+             for size in range(2, 8) for n in (1, 2, 3) for _ in range(12)]
+    cases += [(random_ball_points(rng, n, size, 0.999), rng.uniform(0.5, 2.0, size))
+              for size in (2, 3) for n in (1, 2, 3) for _ in range(60)]
+    for pts, wts in cases:
+        data = bc.WeightedPoints(points=pts, weights=wts)
+        res = bc.solve(data)
+        assert res.converged, (pts.tolist(), wts.tolist(), res.residual_norm)
+        assert res.residual_norm <= 1e-12 * data.total_weight
+
+
+def test_newton_iteration_guard(rng):
+    for size in (1000, 10000):
+        for n in (1, 2, 3, 4):
+            res = bc.solve(random_weighted_points(rng, n, size))
+            assert res.converged
+            assert res.iterations <= 6
+
+
+def test_chart_hessian_matches_finite_difference(rng):
+    h = 1e-3
+    for n in (1, 2, 3):
+        data = bc.WeightedPoints(points=random_ball_points(rng, n, 6, rmax=0.95),
+                                 weights=10.0 ** rng.uniform(-3.0, 3.0, 6))
+        c = random_ball_point(rng, n, rmax=0.6)
+        hess = bc._chart_hessian(bc._pass_vec(data, c)[3], data.total_weight)
+        # second derivatives of G_c at 0 along e_a + e_b and e_a - e_b give
+        # H_ab by polarization; five-point stencil along each direction
+        eye = np.eye(4 * n)
+        dirs = np.stack([eye[:, None] + eye[None, :], eye[:, None] - eye[None, :]])
+        steps = np.array([-2.0, -1.0, 0.0, 1.0, 2.0]) * h
+        probes = (steps[:, None, None, None, None] * dirs).reshape(5, 2, 4 * n, 4 * n, n, 4)
+        e = bc._energy_batch(data, mobius.hua_apply(mobius.hua_new(c), probes))
+        d2 = (-e[0] + 16.0 * e[1] - 30.0 * e[2] + 16.0 * e[3] - e[4]) / (12.0 * h * h)
+        fd = (d2[0] - d2[1]) / 4.0
+        assert np.max(np.abs(fd - hess)) <= 1e-7 * data.total_weight
+        assert np.allclose(hess, hess.T, rtol=0.0, atol=1e-12 * data.total_weight)
+        assert np.min(np.linalg.eigvalsh(hess)) > 0.0
 
 
 def test_large_set_uses_vector_path(rng):
