@@ -197,9 +197,13 @@ def _reduce(data: WeightedPoints, cc: float, phis: np.ndarray, den2: np.ndarray)
     """R(c), |R(c)|, G(c), the Gram matrix P^T diag(w) P and the rounding
     scale of G, from the mapped points phis (N, n, 4), which are scaled in
     place, and the denominators den2 (N,).  The scale is the size of the
-    three terms whose cancellation gives G."""
+    three terms whose cancellation gives G.  The weighted log sum is an
+    einsum, not a BLAS dot: above ~1e4 points a threaded BLAS dot wakes
+    the BLAS worker threads, which costs milliseconds per sweep, leaves
+    them spinning on a second core, and makes the sum depend on the BLAS
+    thread count."""
     r_vec = np.einsum("i,ijk->jk", data.weights, phis)
-    w_log = float(data.weights @ np.log(den2))
+    w_log = float(np.einsum("i,i->", data.weights, np.log(den2)))
     w_norm = data.total_weight * math.log1p(-cc)
     e = w_log - w_norm - data._log_const
     e_scale = abs(w_log) + abs(w_norm) + abs(data._log_const)

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -250,6 +253,26 @@ def test_scalar_and_vector_paths_agree(rng):
         assert np.max(np.abs(g1 - g2)) <= 1e-13
         assert s1 == pytest.approx(s2, abs=1e-12)
 
+
+
+def test_sweep_is_independent_of_blas_threads():
+    # a threaded BLAS dot sums large arrays in per-thread pieces; on this
+    # set a sweep that took sum_i w_i log den2_i as one got an energy one
+    # ulp apart under one and two BLAS threads
+    script = (
+        "import numpy as np; from qhb import barycenter as bc; "
+        "from qhb.verify import random_weighted_points; "
+        "data = random_weighted_points(np.random.default_rng(2), 1, 20000); "
+        "r, rn, e, gram, scale = bc._pass_vec(data, np.full((1, 4), 0.1)); "
+        "print(e.hex(), rn.hex(), r.tobytes().hex(), gram.tobytes().hex())"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bc.__file__)))
+    outs = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        outs.add(subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                capture_output=True, text=True).stdout)
+    assert len(outs) == 1
 
 def test_stalled_probe_regressions(rng):
     # inputs on which the first-order chart step, or the Newton step with
