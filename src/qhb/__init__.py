@@ -20,6 +20,7 @@ from .errors import (
     EmptyData,
     EmptyRegion,
     InvalidProfile,
+    NonFinite,
     NotInBall,
     QhbError,
     Singular,

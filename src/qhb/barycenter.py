@@ -41,7 +41,7 @@ import numpy as np
 
 from . import geometry, mobius
 from . import quaternions as q
-from .errors import EmptyData, NotInBall, QhbError
+from .errors import EmptyData, NonFinite, NotInBall, QhbError
 
 # line search gives up once eta underflows; the iterate cannot improve
 _ETA_FLOOR = 1e-18
@@ -64,6 +64,8 @@ class WeightedPoints:
         wts = np.asarray(self.weights, dtype=float)
         if wts.shape != (pts.shape[0],):
             raise QhbError(f"{pts.shape[0]} points but {wts.shape} weights")
+        if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(wts))):
+            raise NonFinite("coordinates and weights must be finite")
         if np.any(wts <= 0.0):
             raise QhbError("weights must be positive")
         if np.any(q.vnorm2(pts) >= 1.0):
@@ -137,7 +139,7 @@ class SolverResult:
 def _energy_batch(data: WeightedPoints, xs: np.ndarray) -> np.ndarray:
     """Energies at a batch of probe points xs of shape (..., n, 4)."""
     x2 = q.vnorm2(xs)
-    if np.any(x2 >= 1.0):
+    if not np.all(x2 < 1.0):
         raise NotInBall("probe point outside the open unit ball")
     num2 = q.qnorm2(q.ONE - q.inner(xs[..., None, :, :], data.points))
     w_log = np.log(num2) @ data.weights
@@ -181,97 +183,70 @@ def _initial_point(data: WeightedPoints) -> np.ndarray:
     return mean
 
 
-# -- fused residual/energy/Gram pass ----------------------------------------
+# -- the Hua kernel and the fused sweep -------------------------------------
 #
-# One sweep over the points yields R(c), G(c) and the Gram matrix of the
-# mapped points: the energy term |1 - <c,q_i>|^2 equals |1 - <q_i,c>|^2,
-# which is the squared modulus of the denominator already needed for
-# Phi_c(q_i).  For desk-sized inputs a plain-float sweep avoids per-call
-# array overhead; both paths share the reductions below, so they produce
-# the same values (cross-checked by tests) and reduce in a fixed order.
+# With c fixed, z -> <z,c> and w -> (c_j w)_j are real-linear maps, so in
+# real coordinates (a point of H^n as a row of 4n floats) Phi_c of many
+# points is two small GEMMs plus one right division per point by
+# 1 - <z,c>: the real 4 x 4 representation of quaternions (F. Zhang,
+# "Quaternions and matrices of quaternions", Linear Algebra Appl. 251,
+# 1997).  The energy term |1 - <c,q_i>|^2 equals |1 - <q_i,c>|^2, the
+# squared modulus of that denominator, so one sweep over the points
+# yields R(c), G(c) and the Gram matrix of the mapped points.
 
-_SCALAR_CUTOFF = 32  # use the plain-float sweep when size * n is at most this
+_E = np.eye(4)
+_QMUL = q.qmul(_E[:, None], _E[None, :])  # _QMUL[a, b] = e_a e_b, e = (1, i, j, k)
 
 
-def _reduce(data: WeightedPoints, cc: float, phis: np.ndarray, den2: np.ndarray):
-    """R(c), |R(c)|, G(c), the Gram matrix P^T diag(w) P and the rounding
-    scale of G, from the mapped points phis (N, n, 4), which are scaled in
-    place, and the denominators den2 (N,).  The scale is the size of the
+def _hua_rows(c: np.ndarray, flat: np.ndarray):
+    """Phi_c of the rows of flat (M, 4n), each the real coordinates of a
+    point of H^n, and |1 - <z,c>|^2 per row.
+
+    The right division x d = sum_f d_f (x e_f) is four (M n, 4) @ (4, 4)
+    products rather than one product with a per-point 4 x 4 matrix, and
+    the temporaries are updated in place: the sweep's temporaries set the
+    peak memory of a large region barycenter."""
+    n = c.shape[0]
+    m = flat.shape[0]
+    s = math.sqrt(1.0 - float(q.vnorm2(c)))
+    m_in = (q.qconj(c) @ _QMUL.reshape(4, 16)).reshape(4 * n, 4)
+    m_out = (c @ _QMUL.reshape(4, 16)).reshape(n, 4, 4).transpose(1, 0, 2).reshape(4, 4 * n)
+    ip = flat @ m_in                        # <z, c>, (M, 4)
+    num = ip @ m_out                        # (c_j <z, c>)_j, (M, 4n)
+    num /= -(1.0 + s)
+    num += c.reshape(-1)
+    num -= s * flat                         # c - A_c z
+    dinv = np.subtract(q.ONE, ip, out=ip)   # 1 - <z, c>, in ip's storage
+    den2 = q.qnorm2(dinv)
+    dinv[:, 1:] *= -1.0
+    dinv /= den2[:, None]                   # (1 - <z, c>)^{-1}
+    num = num.reshape(m * n, 4)
+    out = np.zeros((m, n, 4))
+    term = np.empty((m, n, 4))
+    for f in range(4):
+        np.matmul(num, _QMUL[:, f], out=term.reshape(m * n, 4))
+        term *= dinv[:, None, f:f + 1]
+        out += term
+    return out.reshape(m, 4 * n), den2
+
+
+def _sweep(data: WeightedPoints, c: np.ndarray):
+    """R(c), |R(c)|, G(c), the Gram matrix P^T diag(w) P of the mapped
+    points p_i = Phi_c(q_i) and the rounding scale of G, the size of the
     three terms whose cancellation gives G.  The weighted log sum is an
     einsum, not a BLAS dot: above ~1e4 points a threaded BLAS dot wakes
     the BLAS worker threads, which costs milliseconds per sweep, leaves
     them spinning on a second core, and makes the sum depend on the BLAS
     thread count."""
-    r_vec = np.einsum("i,ijk->jk", data.weights, phis)
+    cc = float(q.vnorm2(c))
+    flat, den2 = _hua_rows(c, data.points.reshape(data.size, -1))
+    r_vec = np.einsum("i,ijk->jk", data.weights, flat.reshape(data.points.shape))
     w_log = float(np.einsum("i,i->", data.weights, np.log(den2)))
     w_norm = data.total_weight * math.log1p(-cc)
     e = w_log - w_norm - data._log_const
     e_scale = abs(w_log) + abs(w_norm) + abs(data._log_const)
-    flat = phis.reshape(phis.shape[0], -1)
     flat *= np.sqrt(data.weights)[:, None]
     return r_vec, float(q.vnorm(r_vec)), e, flat.T @ flat, e_scale
-
-
-def _pass_vec(data: WeightedPoints, c: np.ndarray):
-    cc = float(q.vnorm2(c))
-    s = float(np.sqrt(1.0 - cc))
-    ip = q.inner(data.points, c)                      # <q_i, c>, (N, 4)
-    den = q.ONE - ip
-    den2 = q.qnorm2(den)                              # |1 - <q_i,c>|^2, (N,)
-    acz = q.qmul(c, ip[:, None, :]) / (1.0 + s) + s * data.points
-    phis = q.qmul(c - acz, (q.qconj(den) / den2[:, None])[:, None, :])
-    return _reduce(data, cc, phis, den2)
-
-
-def _qmul_s(a, b):
-    return (
-        a[0] * b[0] - a[1] * b[1] - a[2] * b[2] - a[3] * b[3],
-        a[0] * b[1] + a[1] * b[0] + a[2] * b[3] - a[3] * b[2],
-        a[0] * b[2] - a[1] * b[3] + a[2] * b[0] + a[3] * b[1],
-        a[0] * b[3] + a[1] * b[2] - a[2] * b[1] + a[3] * b[0],
-    )
-
-
-def _phi_point_s(c, s, z):
-    """Phi_c of one point, both as nested sequences of 4 floats; returns
-    (image, den2)."""
-    ipw = ipx = ipy = ipz = 0.0
-    for cj, zj in zip(c, z):
-        # conj(c_j) * z_j accumulated inline
-        cw, cx, cy, cz = cj
-        zw, zx, zy, zz = zj
-        ipw += cw * zw + cx * zx + cy * zy + cz * zz
-        ipx += cw * zx - cx * zw - cy * zz + cz * zy
-        ipy += cw * zy + cx * zz - cy * zw - cz * zx
-        ipz += cw * zz - cx * zy + cy * zx - cz * zw
-    dw, dx, dy, dz = 1.0 - ipw, -ipx, -ipy, -ipz
-    den2 = dw * dw + dx * dx + dy * dy + dz * dz
-    dinv = (dw / den2, -dx / den2, -dy / den2, -dz / den2)
-    ip_scale = 1.0 / (1.0 + s)
-    ip = (ipw * ip_scale, ipx * ip_scale, ipy * ip_scale, ipz * ip_scale)
-    out = []
-    for cj, zj in zip(c, z):
-        a = _qmul_s(cj, ip)  # (A_c z)_j = c_j <z,c>/(1+s) + s z_j
-        num = (cj[0] - a[0] - s * zj[0], cj[1] - a[1] - s * zj[1],
-               cj[2] - a[2] - s * zj[2], cj[3] - a[3] - s * zj[3])
-        out.append(_qmul_s(num, dinv))
-    return out, den2
-
-
-def _pass_scalar(data: WeightedPoints, c: np.ndarray):
-    cl = c.tolist()
-    cc = sum(x * x for row in cl for x in row)
-    s = math.sqrt(1.0 - cc)
-    imgs, den2 = zip(*[_phi_point_s(cl, s, z) for z in data.points.tolist()])
-    return _reduce(data, cc, np.array(imgs), np.array(den2))
-
-
-def _chart_step(c: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Phi_c(x) for one chart point x; plain floats, as one point is too
-    few for array arithmetic to pay off."""
-    cl = c.tolist()
-    s = math.sqrt(1.0 - sum(v * v for row in cl for v in row))
-    return np.array(_phi_point_s(cl, s, x.tolist())[0])
 
 
 # -- Newton step in the chart ------------------------------------------------
@@ -281,9 +256,7 @@ def _chart_step(c: np.ndarray, x: np.ndarray) -> np.ndarray:
 # a conj(b) is a^T B_e b, and the matrix of left multiplication by s is
 # sum_e s_e L_e.  _GRAM_TO_RHO[c, d, a, b] = sum_e (L_e)_cd (B_e)_ab.
 
-_E = np.eye(4)
-_GRAM_TO_RHO = np.einsum("edc,abe->cdab", q.qmul(_E[:, None], _E[None, :]),
-                         q.qmul(_E[:, None], q.qconj(_E)[None, :]))
+_GRAM_TO_RHO = np.einsum("edc,abe->cdab", _QMUL, _QMUL * q.qconj(np.ones(4))[:, None])
 
 
 def _chart_hessian(gram: np.ndarray, total: float) -> np.ndarray:
@@ -321,12 +294,10 @@ def solve(data: WeightedPoints, config: SolverConfig | None = None,
     cfg = config or SolverConfig()
     total = data.total_weight
     c = _initial_point(data) if start is None else q.hvector(start).astype(float)
-    if float(q.vnorm2(c)) >= 1.0:
+    if not float(q.vnorm2(c)) < 1.0:
         raise NotInBall("start point outside the open unit ball")
 
-    sweep = _pass_scalar if data.size * data.n <= _SCALAR_CUTOFF else _pass_vec
-
-    r_vec, rn, e_c, gram, e_scale = sweep(data, c)
+    r_vec, rn, e_c, gram, e_scale = _sweep(data, c)
     trace = [e_c]
     iterations = 0
     while True:
@@ -343,8 +314,8 @@ def solve(data: WeightedPoints, config: SolverConfig | None = None,
         e_floor = 8.0 * _EPS * (1.0 + abs(e_c) + e_scale)
         eta = cfg.step
         while True:
-            cand = _chart_step(c, eta * x)
-            r_new, rn_new, e_new, gram_new, scale_new = sweep(data, cand)
+            cand = _hua_rows(c, eta * x.reshape(1, -1))[0].reshape(c.shape)
+            r_new, rn_new, e_new, gram_new, scale_new = _sweep(data, cand)
             if not cfg.line_search or e_new < e_c:
                 break
             if e_new <= e_c + e_floor and rn_new < rn:

@@ -9,20 +9,22 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import barycenter, geometry, regions, verify
 from . import quaternions as q
-from .errors import QhbError
+from .errors import NonFinite, QhbError
 
 
 def load_point_set(path: str) -> barycenter.WeightedPoints:
     """Read {"dimension": n, "points": [{"coords": [[w,x,y,z],...], "weight": w}]}.
 
-    Every coordinate vector must satisfy |coords| < 1 - 1e-12; weights
-    default to 1.0 and must be positive.  Errors name the offending index.
+    Every coordinate vector must be finite with |coords| < 1 - 1e-12;
+    weights default to 1.0 and must be finite and positive.  Errors name
+    the offending index.
     """
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
@@ -44,10 +46,12 @@ def load_point_set(path: str) -> barycenter.WeightedPoints:
             raise QhbError(f"point {i}: missing or malformed coords ({exc})") from None
         if coords.shape[0] != n:
             raise QhbError(f"point {i}: has dimension {coords.shape[0]}, expected {n}")
+        w = float(entry.get("weight", 1.0))
+        if not (np.all(np.isfinite(coords)) and math.isfinite(w)):
+            raise NonFinite(f"point {i}: coordinates and weight must be finite")
         nm = float(q.vnorm(coords))
         if nm >= 1.0 - barycenter.BOUNDARY_MARGIN:
             raise QhbError(f"point {i}: |coords| = {nm:.17g} is not inside the unit ball")
-        w = float(entry.get("weight", 1.0))
         if w <= 0.0:
             raise QhbError(f"point {i}: weight must be positive, got {w:.17g}")
         pts[i] = coords
@@ -69,6 +73,8 @@ def parse_point(text: str, n: int | None = None) -> np.ndarray:
             raise QhbError(f"cannot read a point from {text!r}")
     if n is not None and arr.shape[0] != n:
         raise QhbError(f"point has dimension {arr.shape[0]}, expected {n}")
+    if not np.all(np.isfinite(arr)):
+        raise NonFinite(f"point {text!r} is not finite")
     return arr
 
 

@@ -13,6 +13,10 @@ class DivisionByZero(QhbError):
     """Quaternion inverse of a (numerically) zero quaternion."""
 
 
+class NonFinite(QhbError):
+    """A coordinate, weight or radius is NaN or infinite."""
+
+
 class NotInBall(QhbError):
     """A point violates the unit-ball precondition of an operation."""
 

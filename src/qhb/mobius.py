@@ -47,7 +47,7 @@ def hua_new(u, boundary_margin: float = 0.0) -> HuaInvolution:
     """Construct Phi_u for |u| < 1 - boundary_margin; u=0 gives s=1, A=I."""
     u = q.hvector(u)
     uu = float(q.vnorm2(u))
-    if uu >= (1.0 - boundary_margin) ** 2:
+    if not uu < (1.0 - boundary_margin) ** 2:
         raise NotInBall(f"|u| = {np.sqrt(uu):.17g} is not inside the unit ball")
     s = float(np.sqrt(1.0 - uu))
     au = q.outer(u, u) / (1.0 + s) + s * q.identity_matrix(u.shape[0])
@@ -62,7 +62,7 @@ def _check_in_closed_ball(z: np.ndarray, n: int) -> np.ndarray:
         z = z[None, :]
     if z.shape[-2] != n or z.shape[-1] != 4:
         raise DimensionMismatch(f"expected points in H^{n}, got shape {z.shape}")
-    if np.any(q.vnorm2(z) > 1.0 + _BALL_SLACK):
+    if not np.all(q.vnorm2(z) <= 1.0 + _BALL_SLACK):
         raise NotInBall("point outside the closed unit ball")
     return z
 
@@ -158,15 +158,34 @@ def sp_identity(n: int) -> SpMatrix:
     return SpMatrix(matrix=q.identity_matrix(n + 1))
 
 
-def hua_matrix(phi: HuaInvolution) -> SpMatrix:
-    """The matrix (1/s)[[-A_u, u], [-u*, 1]] realizing Phi_u projectively."""
+def hua_matrix_array(phi: HuaInvolution) -> np.ndarray:
+    """The matrix (1/s)[[-A_u, u], [-u*, 1]] of Phi_u as a bare
+    (n+1, n+1, 4) array, not checked for membership in Sp(n,1)."""
     n = phi.n
     m = np.zeros((n + 1, n + 1, 4))
     m[:n, :n] = -phi.au / phi.s
     m[:n, n] = phi.u / phi.s
     m[n, :n] = -q.qconj(phi.u) / phi.s
     m[n, n] = q.ONE / phi.s
-    return SpMatrix(matrix=m)
+    return m
+
+
+def hua_matrix(phi: HuaInvolution) -> SpMatrix:
+    """The matrix (1/s)[[-A_u, u], [-u*, 1]] realizing Phi_u projectively."""
+    return SpMatrix(matrix=hua_matrix_array(phi))
+
+
+def projective_apply(m: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Action (Az + alpha)(beta z + a)^{-1} of a bare (n+1, n+1, 4) array
+    m = [[A, alpha], [beta, a]] on points z (..., n, 4); neither m nor z is
+    checked.  Raises Singular when a denominator vanishes."""
+    num = q.mat_apply(m[:-1, :-1], z) + m[:-1, -1]
+    den = q.qmul(m[-1, :-1], z).sum(axis=-2) + m[-1, -1]
+    den2 = q.qnorm2(den)
+    if np.any(den2 == 0.0):
+        raise Singular("projective denominator vanished for an interior point")
+    dinv = q.qconj(den) / den2[..., None]
+    return q.qmul(num, dinv[..., None, :])
 
 
 def sp_apply(g: SpMatrix, z) -> np.ndarray:
@@ -176,15 +195,9 @@ def sp_apply(g: SpMatrix, z) -> np.ndarray:
         z = z[None, :]
     if z.shape[-2] != g.n or z.shape[-1] != 4:
         raise DimensionMismatch(f"expected points in H^{g.n}, got shape {z.shape}")
-    if np.any(q.vnorm2(z) >= 1.0):
+    if not np.all(q.vnorm2(z) < 1.0):
         raise NotInBall("point outside the open unit ball")
-    num = q.mat_apply(g.a_block, z) + g.alpha
-    den = q.qmul(g.beta, z).sum(axis=-2) + g.a
-    den2 = q.qnorm2(den)
-    if np.any(den2 == 0.0):
-        raise Singular("projective denominator vanished for an interior point")
-    dinv = q.qconj(den) / den2[..., None]
-    return q.qmul(num, dinv[..., None, :])
+    return projective_apply(g.matrix, z)
 
 
 def sp_inverse(g: SpMatrix) -> SpMatrix:
@@ -234,7 +247,7 @@ def jacobian_det(phi: HuaInvolution, z) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if z.ndim == 1:
         z = z[None, :]
-    if np.any(q.vnorm2(z) >= 1.0):
+    if not np.all(q.vnorm2(z) < 1.0):
         raise NotInBall("point outside the open unit ball")
     den2 = q.qnorm2(q.ONE - q.inner(z, phi.u))
     return (phi.s ** 2 / den2) ** (2 * phi.n + 2)

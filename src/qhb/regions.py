@@ -18,6 +18,7 @@ variable (0 or unset = auto).
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -28,7 +29,7 @@ import numpy as np
 from . import geometry
 from . import quaternions as q
 from .barycenter import SolverConfig, SolverResult, WeightedPoints, solve
-from .errors import EmptyRegion, NotInBall, QhbError
+from .errors import EmptyRegion, NonFinite, NotInBall, QhbError
 
 CHUNK = 1 << 16
 # samples closer to the boundary than this are never accepted
@@ -52,13 +53,22 @@ class RegionSpec:
     box_hi: Optional[np.ndarray] = None
 
 
-def geodesic_ball(center, radius: float, n: Optional[int] = None) -> RegionSpec:
-    """Metric ball B(center, radius); always inside the open unit ball."""
+def _ball_center(center, radius: float, n: Optional[int]) -> np.ndarray:
+    """The center of a ball region as an (n, 4) array, after checking the
+    dimension, finiteness and a positive radius."""
     center = q.hvector(center)
     if n is not None and center.shape[0] != n:
         raise QhbError(f"center has dimension {center.shape[0]}, expected {n}")
+    if not (np.all(np.isfinite(center)) and math.isfinite(radius)):
+        raise NonFinite("center and radius must be finite")
     if radius <= 0.0:
         raise QhbError("radius must be positive")
+    return center
+
+
+def geodesic_ball(center, radius: float, n: Optional[int] = None) -> RegionSpec:
+    """Metric ball B(center, radius); always inside the open unit ball."""
+    center = _ball_center(center, radius, n)
     if float(q.vnorm2(center)) >= 1.0:
         raise NotInBall("center outside the open unit ball")
     d0 = float(geometry.distance(center, q.zero_vector(center.shape[0])))
@@ -72,11 +82,7 @@ def geodesic_ball(center, radius: float, n: Optional[int] = None) -> RegionSpec:
 
 def euclidean_ball(center, radius: float, n: Optional[int] = None) -> RegionSpec:
     """Euclidean ball {|z - center| < radius}, required to stay interior."""
-    center = q.hvector(center)
-    if n is not None and center.shape[0] != n:
-        raise QhbError(f"center has dimension {center.shape[0]}, expected {n}")
-    if radius <= 0.0:
-        raise QhbError("radius must be positive")
+    center = _ball_center(center, radius, n)
     if float(q.vnorm(center)) + radius >= 1.0:
         raise NotInBall("euclidean ball must be contained in the open unit ball")
     flat = center.ravel()

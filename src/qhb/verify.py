@@ -55,17 +55,6 @@ def random_spn_block(rng, n: int) -> np.ndarray:
     return m
 
 
-def _raw_hua_matrix(phi: mobius.HuaInvolution) -> np.ndarray:
-    """Matrix of Phi_u as a bare array (no membership validation)."""
-    n = phi.n
-    m = np.zeros((n + 1, n + 1, 4))
-    m[:n, :n] = -phi.au / phi.s
-    m[:n, n] = phi.u / phi.s
-    m[n, :n] = -q.qconj(phi.u) / phi.s
-    m[n, n] = q.ONE / phi.s
-    return m
-
-
 def _raw_rotation(rng, n: int) -> np.ndarray:
     m = q.identity_matrix(n + 1)
     m[:n, :n] = random_spn_block(rng, n)
@@ -77,7 +66,7 @@ def _raw_sp(rng, n: int, hua_factors: int = 2) -> np.ndarray:
     m = _raw_rotation(rng, n)
     for _ in range(hua_factors):
         phi = mobius.hua_new(random_ball_point(rng, n, rmax=0.7))
-        m = q.mat_mul(m, _raw_hua_matrix(phi))
+        m = q.mat_mul(m, mobius.hua_matrix_array(phi))
     return m
 
 
@@ -222,12 +211,6 @@ def check_measure_invariance(rng, trials: int) -> float:
     return err
 
 
-def _raw_apply(m: np.ndarray, z: np.ndarray) -> np.ndarray:
-    num = q.mat_apply(m[:-1, :-1], z) + m[:-1, -1]
-    den = q.qmul(m[-1, :-1], z).sum(axis=-2) + m[-1, -1]
-    return q.qmul(num, (q.qconj(den) / q.qnorm2(den)[..., None])[..., None, :])
-
-
 def check_intertwine_offdiag(rng, trials: int) -> float:
     # every isometry is exactly rotation . Phi_c, so one Hua factor is general
     err = 0.0
@@ -235,9 +218,9 @@ def check_intertwine_offdiag(rng, trials: int) -> float:
         n = _dims(k)
         g = _raw_sp(rng, n, hua_factors=1)
         c = random_ball_point(rng, n, rmax=0.7)
-        gc = _raw_apply(g, c)
-        m = q.mat_mul(q.mat_mul(_raw_hua_matrix(mobius.hua_new(gc)), g),
-                      _raw_hua_matrix(mobius.hua_new(c)))
+        gc = mobius.projective_apply(g, c)
+        m = q.mat_mul(q.mat_mul(mobius.hua_matrix_array(mobius.hua_new(gc)), g),
+                      mobius.hua_matrix_array(mobius.hua_new(c)))
         off = max(float(np.max(np.abs(m[:-1, -1]))), float(np.max(np.abs(m[-1, :-1]))))
         err = max(err, off)
     return err

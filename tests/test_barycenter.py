@@ -9,7 +9,7 @@ import pytest
 from qhb import barycenter as bc
 from qhb import geometry, mobius
 from qhb import quaternions as q
-from qhb.errors import EmptyData, NotInBall, QhbError
+from qhb.errors import EmptyData, NonFinite, NotInBall, QhbError
 from qhb.verify import random_ball_point, random_ball_points, random_sp, random_weighted_points
 
 
@@ -46,6 +46,15 @@ def test_weighted_points_validation():
         bc.WeightedPoints(points=pts1(0.1), weights=np.array([1.0, 1.0]))
     with pytest.raises(NotInBall):
         bc.WeightedPoints(points=pts1(1.0), weights=np.array([1.0]))
+
+
+@pytest.mark.parametrize("coord, weight", [
+    (0.1, math.nan), (0.1, math.inf), (math.nan, 1.0), (-math.inf, 1.0),
+], ids=["nan-weight", "inf-weight", "nan-coordinate", "inf-coordinate"])
+def test_weighted_points_reject_non_finite(coord, weight):
+    with pytest.raises(NonFinite):
+        bc.WeightedPoints(points=np.array([[[0.2, 0.0, 0.0, 0.0]], [[0.3, coord, 0.0, 0.0]]]),
+                          weights=np.array([1.0, weight]))
 
 
 def test_weighted_points_defaults():
@@ -239,32 +248,49 @@ def test_solver_config_validation():
 def test_solver_start_outside_ball():
     with pytest.raises(NotInBall):
         bc.solve(two_weighted(), start=pt(1.2))
+    with pytest.raises(NotInBall):
+        bc.solve(two_weighted(), start=pt(math.nan))
 
 
-def test_scalar_and_vector_paths_agree(rng):
-    for n in (1, 2, 3):
-        data = random_weighted_points(rng, n, 7)
-        c = random_ball_point(rng, n, rmax=0.6)
-        r1, n1, e1, g1, s1 = bc._pass_vec(data, c)
-        r2, n2, e2, g2, s2 = bc._pass_scalar(data, c)
-        assert np.max(np.abs(r1 - r2)) <= 1e-13
-        assert n1 == pytest.approx(n2, abs=1e-13)
-        assert e1 == pytest.approx(e2, abs=1e-12)
-        assert np.max(np.abs(g1 - g2)) <= 1e-13
-        assert s1 == pytest.approx(s2, abs=1e-12)
+def test_sweep_matches_independent_code(rng):
+    # the sweep and the chart step against hua_apply, residual() and energy()
+    for n in (1, 2, 3, 4):
+        for size in (1, 2, 7):
+            data = random_weighted_points(rng, n, size)
+            c = random_ball_point(rng, n, rmax=0.6)
+            r_vec, rn, e, gram, scale = bc._sweep(data, c)
+            phi = mobius.hua_new(c)
+            mapped = mobius.hua_apply(phi, data.points).reshape(size, 4 * n)
+            ref_r = bc.residual(data, c)
+            assert np.max(np.abs(r_vec - ref_r)) <= 1e-13
+            assert rn == pytest.approx(float(np.linalg.norm(ref_r)), abs=1e-13)
+            assert e == pytest.approx(bc.energy(data, c), abs=1e-12)
+            ref_gram = mapped.T @ (data.weights[:, None] * mapped)
+            assert np.max(np.abs(gram - ref_gram)) <= 1e-13
+            # the rounding scale is the size of G's three terms
+            den2 = q.qnorm2(q.ONE - q.inner(data.points, c))
+            ref_scale = (abs(float(data.weights @ np.log(den2)))
+                         + data.total_weight * abs(math.log1p(-float(q.vnorm2(c))))
+                         + abs(float(data.weights @ np.log1p(-q.vnorm2(data.points)))))
+            assert scale == pytest.approx(ref_scale, abs=1e-12)
+            x = random_ball_point(rng, n, rmax=0.9)
+            step = bc._hua_rows(c, x.reshape(1, -1))[0].reshape(n, 4)
+            assert np.max(np.abs(step - mobius.hua_apply(phi, x))) <= 1e-13
 
 
 
 def test_sweep_is_independent_of_blas_threads():
-    # a threaded BLAS dot sums large arrays in per-thread pieces; on this
-    # set a sweep that took sum_i w_i log den2_i as one got an energy one
-    # ulp apart under one and two BLAS threads
+    # a threaded BLAS dot sums large arrays in per-thread pieces; on the
+    # n=1 set a sweep that took sum_i w_i log den2_i as one got an energy
+    # one ulp apart under one and two BLAS threads.  n=3 gives the kernel's
+    # GEMMs an inner dimension of 4n = 12.
     script = (
-        "import numpy as np; from qhb import barycenter as bc; "
-        "from qhb.verify import random_weighted_points; "
-        "data = random_weighted_points(np.random.default_rng(2), 1, 20000); "
-        "r, rn, e, gram, scale = bc._pass_vec(data, np.full((1, 4), 0.1)); "
-        "print(e.hex(), rn.hex(), r.tobytes().hex(), gram.tobytes().hex())"
+        "import numpy as np; from qhb import barycenter as bc\n"
+        "from qhb.verify import random_weighted_points\n"
+        "for n in (1, 3):\n"
+        "    data = random_weighted_points(np.random.default_rng(2), n, 20000)\n"
+        "    r, rn, e, gram, scale = bc._sweep(data, np.full((n, 4), 0.1))\n"
+        "    print(e.hex(), rn.hex(), r.tobytes().hex(), gram.tobytes().hex())\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(bc.__file__)))
     outs = set()
@@ -303,7 +329,7 @@ def test_chart_hessian_matches_finite_difference(rng):
         data = bc.WeightedPoints(points=random_ball_points(rng, n, 6, rmax=0.95),
                                  weights=10.0 ** rng.uniform(-3.0, 3.0, 6))
         c = random_ball_point(rng, n, rmax=0.6)
-        hess = bc._chart_hessian(bc._pass_vec(data, c)[3], data.total_weight)
+        hess = bc._chart_hessian(bc._sweep(data, c)[3], data.total_weight)
         # second derivatives of G_c at 0 along e_a + e_b and e_a - e_b give
         # H_ab by polarization; five-point stencil along each direction
         eye = np.eye(4 * n)
@@ -318,7 +344,7 @@ def test_chart_hessian_matches_finite_difference(rng):
         assert np.min(np.linalg.eigvalsh(hess)) > 0.0
 
 
-def test_large_set_uses_vector_path(rng):
+def test_two_hundred_points_converge(rng):
     data = random_weighted_points(rng, 2, 200, rmax=0.6)
     res = bc.solve(data)
     assert res.converged

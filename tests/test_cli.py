@@ -91,6 +91,26 @@ def test_barycenter_reports_offending_index(capsys, tmp_path):
     assert "point 0" in err and "weight" in err
 
 
+@pytest.mark.parametrize("entry", [
+    '{"coords": [[0.1, 0, 0, 0]], "weight": NaN}',
+    '{"coords": [[0.1, 0, 0, 0]], "weight": Infinity}',
+    '{"coords": [[0.1, NaN, 0, 0]]}',
+], ids=["nan-weight", "inf-weight", "nan-coordinate"])
+def test_barycenter_rejects_non_finite(capsys, tmp_path, entry):
+    # Python's json module reads the NaN and Infinity literals
+    path = tmp_path / "nonfinite.json"
+    path.write_text('{"dimension": 1, "points": [{"coords": [[0.3, 0, 0, 0]]}, %s]}' % entry)
+    code, _, err = run(capsys, "barycenter", str(path))
+    assert code == 1
+    assert "NonFinite" in err and "point 1" in err
+
+
+def test_energy_at_non_finite_point(capsys, two_weighted_file):
+    code, _, err = run(capsys, "energy", two_weighted_file, "--at", "NaN")
+    assert code == 1
+    assert "NonFinite" in err
+
+
 def test_barycenter_malformed_json(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

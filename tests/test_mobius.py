@@ -5,7 +5,7 @@ import pytest
 
 from qhb import geometry, mobius
 from qhb import quaternions as q
-from qhb.errors import NotInBall, QhbError
+from qhb.errors import NotInBall, QhbError, Singular
 from qhb.verify import random_ball_point, random_ball_points, random_sp
 
 
@@ -42,6 +42,8 @@ def test_hua_rejects_boundary():
         mobius.hua_new(pt(1.0))
     with pytest.raises(NotInBall):
         mobius.hua_new(pt(0.95), boundary_margin=0.1)
+    with pytest.raises(NotInBall):
+        mobius.hua_new(pt(math.nan))
 
 
 def test_hua_apply_swaps_origin_and_center(rng):
@@ -74,6 +76,8 @@ def test_hua_apply_boundary_allowed(rng):
     assert float(q.vnorm(out)) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(NotInBall):
         mobius.hua_apply(phi, v * 1.01)
+    with pytest.raises(NotInBall):
+        mobius.hua_apply(phi, v * math.nan)
 
 
 def test_involution_round_trip(rng):
@@ -159,6 +163,18 @@ def test_sp_apply_identity(rng):
     z = random_ball_points(rng, 2, 4)
     gid = mobius.SpMatrix(matrix=q.identity_matrix(3))
     assert np.allclose(mobius.sp_apply(gid, z), z, atol=0)
+
+
+def test_projective_apply_matches_sp_apply_and_raises_singular(rng):
+    g = random_sp(rng, 2)
+    z = random_ball_points(rng, 2, 5)
+    assert np.array_equal(mobius.projective_apply(g.matrix, z), mobius.sp_apply(g, z))
+    # the bare action takes any array: here beta z + a = z - 1/2 vanishes at z = 1/2
+    m = np.zeros((2, 2, 4))
+    m[0, 0, 0] = m[1, 0, 0] = 1.0
+    m[1, 1, 0] = -0.5
+    with pytest.raises(Singular):
+        mobius.projective_apply(m, pt(0.5))
 
 
 def test_sp_apply_preserves_distance(rng):

@@ -7,7 +7,7 @@ from scipy.integrate import quad
 from qhb import barycenter as bc
 from qhb import geometry, mobius, regions
 from qhb import quaternions as q
-from qhb.errors import EmptyRegion, NotInBall, QhbError
+from qhb.errors import EmptyRegion, NonFinite, NotInBall, QhbError
 
 E1 = np.array([[0.3, 0.0, 0.0, 0.0]])
 ORIGIN1 = np.zeros((1, 4))
@@ -23,6 +23,16 @@ def test_factory_validation():
     with pytest.raises(QhbError):
         regions.region_from_json({"kind": "cube", "center": [[0, 0, 0, 0]],
                                   "radius": 1.0, "dimension": 1})
+
+
+@pytest.mark.parametrize("factory", [regions.geodesic_ball, regions.euclidean_ball])
+@pytest.mark.parametrize("center, radius", [
+    ([[math.nan, 0.0, 0.0, 0.0]], 0.3), ([[0.1, 0.0, 0.0, 0.0]], math.nan),
+    ([[0.1, 0.0, 0.0, 0.0]], math.inf),
+], ids=["nan-center", "nan-radius", "inf-radius"])
+def test_ball_factories_reject_non_finite(factory, center, radius):
+    with pytest.raises(NonFinite):
+        factory(center, radius)
 
 
 def test_region_json_round_trip():
