@@ -6,11 +6,8 @@ from .barycenter import (
     SolverResult,
     WeightedPoints,
     energy,
-    gradient_check,
-    pushforward_invariance,
     residual,
     solve,
-    solve_weighted_tanh_check,
     weighted_points,
 )
 from .errors import (
@@ -61,7 +58,6 @@ from .regions import (
     euclidean_ball,
     geodesic_ball,
     indicator_region,
-    moment_estimate,
     region_barycenter,
     region_from_json,
     region_to_json,

@@ -39,15 +39,17 @@ from functools import cached_property
 
 import numpy as np
 
-from . import geometry, mobius
+from . import mobius
 from . import quaternions as q
 from .errors import EmptyData, NonFinite, NotInBall, QhbError
 
 # line search gives up once eta underflows; the iterate cannot improve
 _ETA_FLOOR = 1e-18
 _EPS = float(np.finfo(float).eps)
-# points this close to the boundary make the energy ill-conditioned
+# point sets, point files and region samples keep |q| < 1 - BOUNDARY_MARGIN,
+# tested as |q|^2 < MAX_NORM2; closer points make the energy ill-conditioned
 BOUNDARY_MARGIN = 1e-12
+MAX_NORM2 = (1.0 - BOUNDARY_MARGIN) ** 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,8 +70,8 @@ class WeightedPoints:
             raise NonFinite("coordinates and weights must be finite")
         if np.any(wts <= 0.0):
             raise QhbError("weights must be positive")
-        if np.any(q.vnorm2(pts) >= 1.0):
-            raise NotInBall("every point must lie inside the open unit ball")
+        if np.any(q.vnorm2(pts) >= MAX_NORM2):
+            raise NotInBall(f"every point must satisfy |q| < 1 - {BOUNDARY_MARGIN:g}")
         pts, wts = pts.copy(), wts.copy()
         pts.flags.writeable = False
         wts.flags.writeable = False
@@ -158,21 +160,6 @@ def residual(data: WeightedPoints, c) -> np.ndarray:
     phi = mobius.hua_new(q.hvector(c))
     mapped = mobius.hua_apply(phi, data.points)
     return np.einsum("i,ijk->jk", data.weights, mapped)
-
-
-def gradient_check(data: WeightedPoints, c, step: float = 1e-5) -> float:
-    """Max componentwise gap between a five-point finite difference of
-    G_c at 0 and the closed form -2 R(c); a consistency diagnostic."""
-    c = q.hvector(c)
-    n = c.shape[0]
-    phi = mobius.hua_new(c)
-    target = -2.0 * residual(data, c).ravel()
-    basis = np.eye(4 * n).reshape(4 * n, n, 4)
-    offsets = np.array([-2.0, -1.0, 1.0, 2.0]) * step
-    probes = offsets[None, :, None, None] * basis[:, None, :, :]  # (4n, 4, n, 4)
-    e = _energy_batch(data, mobius.hua_apply(phi, probes))
-    fd = (e[:, 0] - 8.0 * e[:, 1] + 8.0 * e[:, 2] - e[:, 3]) / (12.0 * step)
-    return float(np.max(np.abs(fd - target)))
 
 
 def _initial_point(data: WeightedPoints) -> np.ndarray:
@@ -339,36 +326,3 @@ def solve(data: WeightedPoints, config: SolverConfig | None = None,
         stop_reason=stop_reason,
         energy_trace=tuple(trace),
     )
-
-
-def solve_weighted_tanh_check(data: WeightedPoints,
-                              config: SolverConfig | None = None) -> float:
-    """For a two-point set, solve and return
-
-        | w_p tanh(d(c,p)/2) - w_q tanh(d(c,q)/2) |
-
-    at the computed barycenter c.  Also checks that c lies on the
-    geodesic through the two points (within 1e-10 in distance)."""
-    if data.size != 2:
-        raise QhbError("the tanh balance check needs exactly two points")
-    p, qq = data.points[0], data.points[1]
-    res = solve(data, config)
-    c = res.barycenter
-    dp = float(geometry.distance(c, p))
-    dq = float(geometry.distance(c, qq))
-    chart = geometry.geodesic_between(p, qq)
-    on_curve = geometry.geodesic_point(chart, dp)
-    dev = float(geometry.distance(on_curve, c))
-    if dev > 1e-10:
-        raise QhbError(f"barycenter is {dev:.3g} away from the geodesic through the points")
-    return abs(data.weights[0] * np.tanh(dp / 2.0) - data.weights[1] * np.tanh(dq / 2.0))
-
-
-def pushforward_invariance(data: WeightedPoints, g: mobius.SpMatrix,
-                           config: SolverConfig | None = None) -> float:
-    """Distance between solve(g . data) and g(solve(data)); near zero because
-    the barycenter commutes with every isometry."""
-    res = solve(data, config)
-    moved = WeightedPoints(points=mobius.sp_apply(g, data.points), weights=data.weights)
-    res_moved = solve(moved, config)
-    return float(geometry.distance(res_moved.barycenter, mobius.sp_apply(g, res.barycenter)))

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import barycenter, geometry, regions, verify
 from . import quaternions as q
-from .errors import NonFinite, QhbError
+from .errors import NonFinite, NotInBall, QhbError
 
 
 def load_point_set(path: str) -> barycenter.WeightedPoints:
@@ -49,9 +49,10 @@ def load_point_set(path: str) -> barycenter.WeightedPoints:
         w = float(entry.get("weight", 1.0))
         if not (np.all(np.isfinite(coords)) and math.isfinite(w)):
             raise NonFinite(f"point {i}: coordinates and weight must be finite")
-        nm = float(q.vnorm(coords))
-        if nm >= 1.0 - barycenter.BOUNDARY_MARGIN:
-            raise QhbError(f"point {i}: |coords| = {nm:.17g} is not inside the unit ball")
+        nm2 = float(q.vnorm2(coords))
+        if nm2 >= barycenter.MAX_NORM2:
+            raise NotInBall(f"point {i}: |coords| = {math.sqrt(nm2):.17g} is not inside "
+                            f"|q| < 1 - {barycenter.BOUNDARY_MARGIN:g}")
         if w <= 0.0:
             raise QhbError(f"point {i}: weight must be positive, got {w:.17g}")
         pts[i] = coords
@@ -162,9 +163,7 @@ def cmd_energy(args) -> int:
 def cmd_verify(args) -> int:
     if args.trials <= 0:
         print("warning: --trials 0 runs no checks (vacuous pass)", file=sys.stderr)
-        results = []
-    else:
-        results = verify.run_all(args.seed, args.trials)
+    results = verify.run_all(args.seed, args.trials)
     for r in results:
         status = "pass" if r.passed else "FAIL"
         note = f"  [{r.note}]" if r.note else ""

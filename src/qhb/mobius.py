@@ -24,7 +24,9 @@ import numpy as np
 from . import quaternions as q
 from .errors import DimensionMismatch, NotInBall, QhbError, Singular
 
-# slack for membership checks on the closed ball (|z| <= 1 plus roundoff)
+# hua_apply takes points on the closed ball (Phi_u maps the sphere to itself),
+# so |z|^2 may exceed 1 by roundoff; point sets and samples instead obey the
+# interior rule barycenter.MAX_NORM2
 _BALL_SLACK = 1e-12
 # M* J M = J must hold to this accuracy for a matrix to be accepted
 SP_CHECK_TOL = 1e-9
@@ -43,11 +45,11 @@ class HuaInvolution:
         return self.u.shape[0]
 
 
-def hua_new(u, boundary_margin: float = 0.0) -> HuaInvolution:
-    """Construct Phi_u for |u| < 1 - boundary_margin; u=0 gives s=1, A=I."""
+def hua_new(u) -> HuaInvolution:
+    """Construct Phi_u for |u| < 1; u=0 gives s=1, A=I."""
     u = q.hvector(u)
     uu = float(q.vnorm2(u))
-    if not uu < (1.0 - boundary_margin) ** 2:
+    if not uu < 1.0:
         raise NotInBall(f"|u| = {np.sqrt(uu):.17g} is not inside the unit ball")
     s = float(np.sqrt(1.0 - uu))
     au = q.outer(u, u) / (1.0 + s) + s * q.identity_matrix(u.shape[0])
@@ -125,21 +127,12 @@ class SpMatrix:
 
 
 def sp_defect(m: np.ndarray) -> float:
-    """Max entrywise deviation of M* J M from J."""
-    mjm = q.mat_mul(q.mat_conj_transpose(m), _apply_j(m))
-    return float(np.max(np.abs(mjm - _j_matrix(m.shape[0] - 1))))
-
-
-def _j_matrix(n: int) -> np.ndarray:
-    j = q.identity_matrix(n + 1)
-    j[n, n, 0] = -1.0
-    return j
-
-
-def _apply_j(m: np.ndarray) -> np.ndarray:
-    out = m.copy()
-    out[-1] = -out[-1]
-    return out
+    """Max entrywise deviation of M* J M from J, J = diag(I_n, -1)."""
+    jm = m.copy()
+    jm[-1] = -jm[-1]
+    j = q.identity_matrix(m.shape[0])
+    j[-1, -1, 0] = -1.0
+    return float(np.max(np.abs(q.mat_mul(q.mat_conj_transpose(m), jm) - j)))
 
 
 def sp_from_blocks(a_block, alpha, beta, a) -> SpMatrix:
@@ -152,10 +145,6 @@ def sp_from_blocks(a_block, alpha, beta, a) -> SpMatrix:
     m[n, :n] = np.asarray(beta, dtype=float)
     m[n, n] = np.asarray(a, dtype=float)
     return SpMatrix(matrix=m)
-
-
-def sp_identity(n: int) -> SpMatrix:
-    return SpMatrix(matrix=q.identity_matrix(n + 1))
 
 
 def hua_matrix_array(phi: HuaInvolution) -> np.ndarray:

@@ -83,11 +83,6 @@ def qinv(q) -> np.ndarray:
     return qconj(qs) / (qnorm2(qs)[..., None] * scale)
 
 
-def is_real(q, tol: float = 0.0) -> bool:
-    q = np.asarray(q, dtype=float)
-    return bool(np.all(np.abs(q[..., 1:]) <= tol))
-
-
 # ---------------------------------------------------------------------------
 # vectors in H^n
 
@@ -104,13 +99,6 @@ def hvector(components) -> np.ndarray:
 
 def zero_vector(n: int) -> np.ndarray:
     return np.zeros((n, 4))
-
-
-def basis_vector(n: int, i: int, q=ONE) -> np.ndarray:
-    """Vector with quaternion q in slot i and zeros elsewhere."""
-    z = np.zeros((n, 4))
-    z[i] = q
-    return z
 
 
 def vnorm2(z) -> np.ndarray:
@@ -189,13 +177,6 @@ def outer(u, v) -> np.ndarray:
 def to_lists(z) -> list:
     """Nested-list form of a quaternion array (JSON-ready)."""
     return np.asarray(z, dtype=float).tolist()
-
-
-def quat_from_json(obj) -> np.ndarray:
-    q = np.asarray(obj, dtype=float)
-    if q.shape != (4,):
-        raise DimensionMismatch(f"a quaternion is 4 numbers, got shape {q.shape}")
-    return q
 
 
 def hvector_from_json(obj) -> np.ndarray:

@@ -26,14 +26,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import geometry
+from . import geometry, mobius
 from . import quaternions as q
-from .barycenter import SolverConfig, SolverResult, WeightedPoints, solve
+from .barycenter import MAX_NORM2, SolverConfig, SolverResult, WeightedPoints, solve
 from .errors import EmptyRegion, NonFinite, NotInBall, QhbError
 
 CHUNK = 1 << 16
-# samples closer to the boundary than this are never accepted
-_EDGE = 1e-12
 
 GEODESIC_BALL = "geodesic_ball"
 EUCLIDEAN_BALL = "euclidean_ball"
@@ -176,7 +174,7 @@ def _sample_chunk(spec: RegionSpec, seed: int, index: int, size: int) -> np.ndar
     rng = np.random.Generator(np.random.Philox(key=[seed, index]))
     flat = rng.uniform(spec.box_lo, spec.box_hi, size=(size, 4 * spec.n))
     pts = flat.reshape(size, spec.n, 4)
-    keep = q.vnorm2(pts) < (1.0 - _EDGE) ** 2
+    keep = q.vnorm2(pts) < MAX_NORM2
     pts = pts[keep]
     if pts.shape[0]:
         pts = pts[_contains(spec, pts)]
@@ -243,8 +241,6 @@ def region_barycenter(spec: RegionSpec, count: int, seed: int,
     through the (well-conditioned) residual equation as SE(R)/mass."""
     ss = sample_region(spec, count, seed)
     res = solve(ss.samples, config)
-    from . import mobius  # local import to keep module load light
-
     phi = mobius.hua_new(res.barycenter)
     mapped = mobius.hua_apply(phi, ss.samples.points)
     y = (ss.samples.weights * count)[:, None, None] * mapped  # per-proposal residual terms
@@ -254,8 +250,3 @@ def region_barycenter(spec: RegionSpec, count: int, seed: int,
     se_residual = float(np.sqrt(np.sum(var / count)))
     bary_se = se_residual / ss.total_mass_estimate
     return RegionResult(result=res, sample_set=ss, barycenter_standard_error=bary_se)
-
-
-def moment_estimate(spec: RegionSpec, count: int, seed: int) -> float:
-    """MC estimate of the first moment integral of d(0, y) over the region."""
-    return sample_region(spec, count, seed).moment_estimate

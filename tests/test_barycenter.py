@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qhb import barycenter as bc
-from qhb import geometry, mobius
+from qhb import geometry, mobius, verify
 from qhb import quaternions as q
 from qhb.errors import EmptyData, NonFinite, NotInBall, QhbError
 from qhb.verify import random_ball_point, random_ball_points, random_sp, random_weighted_points
@@ -138,12 +138,12 @@ def test_gradient_check_small(rng):
     for n in (1, 2):
         data = random_weighted_points(rng, n, 5)
         c = random_ball_point(rng, n, rmax=0.6)
-        assert bc.gradient_check(data, c) <= 1e-5
+        assert verify.gradient_check(data, c) <= 1e-5
 
 
 def test_gradient_check_at_barycenter():
     data = two_weighted()
-    assert bc.gradient_check(data, pt(2 / 7)) <= 1e-9
+    assert verify.gradient_check(data, pt(2 / 7)) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -355,15 +355,44 @@ def test_two_hundred_points_converge(rng):
 # two-point balance and invariance
 
 
+def solve_weighted_tanh_check(data):
+    """For a two-point set, solve and return
+
+        | w_p tanh(d(c,p)/2) - w_q tanh(d(c,q)/2) |
+
+    at the computed barycenter c.  Also checks that c lies on the
+    geodesic through the two points (within 1e-10 in distance)."""
+    if data.size != 2:
+        raise QhbError("the tanh balance check needs exactly two points")
+    p, y = data.points[0], data.points[1]
+    c = bc.solve(data).barycenter
+    dp = float(geometry.distance(c, p))
+    dy = float(geometry.distance(c, y))
+    on_curve = geometry.geodesic_point(geometry.geodesic_between(p, y), dp)
+    dev = float(geometry.distance(on_curve, c))
+    if dev > 1e-10:
+        raise QhbError(f"barycenter is {dev:.3g} away from the geodesic through the points")
+    return abs(data.weights[0] * np.tanh(dp / 2.0) - data.weights[1] * np.tanh(dy / 2.0))
+
+
+def pushforward_invariance(data, g):
+    """Distance between solve(g . data) and g(solve(data)); near zero because
+    the barycenter commutes with every isometry."""
+    res = bc.solve(data)
+    moved = bc.WeightedPoints(points=mobius.sp_apply(g, data.points), weights=data.weights)
+    res_moved = bc.solve(moved)
+    return float(geometry.distance(res_moved.barycenter, mobius.sp_apply(g, res.barycenter)))
+
+
 def test_tanh_balance_equal_weights(rng):
     p = random_ball_point(rng, 2, rmax=0.7)
     y = random_ball_point(rng, 2, rmax=0.7)
     data = bc.WeightedPoints(points=np.stack([p, y]), weights=np.ones(2))
-    assert bc.solve_weighted_tanh_check(data) <= 1e-10
+    assert solve_weighted_tanh_check(data) <= 1e-10
 
 
 def test_tanh_balance_weighted_example():
-    assert bc.solve_weighted_tanh_check(two_weighted()) <= 1e-10
+    assert solve_weighted_tanh_check(two_weighted()) <= 1e-10
 
 
 def test_tanh_balance_against_bisection_oracle(rng):
@@ -389,17 +418,17 @@ def test_tanh_balance_against_bisection_oracle(rng):
 
     res = bc.solve(data)
     assert float(geometry.distance(res.barycenter, oracle_point)) <= 1e-9
-    assert bc.solve_weighted_tanh_check(data) <= 1e-10
+    assert solve_weighted_tanh_check(data) <= 1e-10
 
 
 def test_tanh_balance_requires_two_points():
     with pytest.raises(QhbError):
-        bc.solve_weighted_tanh_check(bc.weighted_points(pt(0.1)))
+        solve_weighted_tanh_check(bc.weighted_points(pt(0.1)))
 
 
 def test_pushforward_identity():
     gid = mobius.SpMatrix(matrix=q.identity_matrix(2))
-    assert bc.pushforward_invariance(two_weighted(), gid) <= 1e-12
+    assert pushforward_invariance(two_weighted(), gid) <= 1e-12
 
 
 def test_pushforward_translation_midpoint():
@@ -410,7 +439,7 @@ def test_pushforward_translation_midpoint():
     m[0, 1, 0] = m[1, 0, 0] = lead * t
     g = mobius.SpMatrix(matrix=m)
     data = bc.weighted_points(pt(0.0, 0.5))
-    assert bc.pushforward_invariance(data, g) <= 1e-10
+    assert pushforward_invariance(data, g) <= 1e-10
     moved = bc.WeightedPoints(points=mobius.sp_apply(g, data.points), weights=data.weights)
     res = bc.solve(moved)
     assert res.barycenter[0, 0] == pytest.approx((13 - 4 * math.sqrt(3)) / 11, abs=1e-10)
@@ -419,7 +448,7 @@ def test_pushforward_translation_midpoint():
 def test_pushforward_random(rng):
     data = random_weighted_points(rng, 2, 5, rmax=0.7)
     g = random_sp(rng, 2)
-    assert bc.pushforward_invariance(data, g) <= 1e-8
+    assert pushforward_invariance(data, g) <= 1e-8
 
 
 def test_energy_convex_along_geodesics(rng):

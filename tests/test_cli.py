@@ -7,6 +7,7 @@ import pytest
 from qhb import barycenter as bc
 from qhb import cli
 from qhb import quaternions as q
+from qhb.errors import NotInBall
 
 
 def write_points(tmp_path, name, dimension, entries):
@@ -91,6 +92,21 @@ def test_barycenter_reports_offending_index(capsys, tmp_path):
     assert "point 0" in err and "weight" in err
 
 
+def test_point_within_boundary_margin_is_rejected(capsys, tmp_path):
+    # |q| = 1 - 5e-13 lies in the open ball but not in |q| < 1 - 1e-12
+    edge = 1.0 - 5e-13
+    with pytest.raises(NotInBall):
+        bc.WeightedPoints(points=np.array([[[0.1, 0, 0, 0]], [[edge, 0, 0, 0]]]),
+                          weights=np.ones(2))
+    path = write_points(tmp_path, "edge.json", 1, [
+        {"coords": [[0.1, 0, 0, 0]]},
+        {"coords": [[edge, 0, 0, 0]]},
+    ])
+    code, _, err = run(capsys, "barycenter", path)
+    assert code == 1
+    assert "NotInBall" in err and "point 1" in err
+
+
 @pytest.mark.parametrize("entry", [
     '{"coords": [[0.1, 0, 0, 0]], "weight": NaN}',
     '{"coords": [[0.1, 0, 0, 0]], "weight": Infinity}',
@@ -117,6 +133,19 @@ def test_barycenter_malformed_json(capsys, tmp_path):
     code, _, err = run(capsys, "barycenter", str(path))
     assert code == 1
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("flags, step, line_search", [
+    (["--no-line-search"], 1.0, False),
+    (["--step", "0.5"], 0.5, True),
+], ids=["no-line-search", "half-step"])
+def test_solver_knobs_reach_two_sevenths(capsys, two_weighted_file, flags, step, line_search):
+    code, out, _ = run(capsys, "barycenter", two_weighted_file, *flags)
+    payload = json.loads(out)
+    assert code == 0 and payload["converged"] is True
+    assert abs(payload["barycenter"][0][0] - 2 / 7) <= 1e-10
+    assert payload["config"]["step"] == step
+    assert payload["config"]["line_search"] is line_search
 
 
 def test_exit_code_two_when_not_converged(capsys, two_weighted_file):

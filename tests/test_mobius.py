@@ -41,8 +41,6 @@ def test_hua_rejects_boundary():
     with pytest.raises(NotInBall):
         mobius.hua_new(pt(1.0))
     with pytest.raises(NotInBall):
-        mobius.hua_new(pt(0.95), boundary_margin=0.1)
-    with pytest.raises(NotInBall):
         mobius.hua_new(pt(math.nan))
 
 

@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 
 from qhb import quaternions as q
 from qhb.errors import DimensionMismatch, DivisionByZero
+from qhb.verify import associativity_bound
 
 finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 quat_st = st.tuples(finite, finite, finite, finite).map(lambda t: np.array(t))
@@ -122,7 +123,7 @@ def test_conjugation_reverses_products(p, r):
 def test_associativity(p, r, s):
     lhs = q.qmul(q.qmul(p, r), s)
     rhs = q.qmul(p, q.qmul(r, s))
-    assert np.max(np.abs(lhs - rhs)) <= 1e-12
+    assert np.all(np.abs(lhs - rhs) <= associativity_bound(p, r, s))
 
 
 @given(st.lists(finite, min_size=8, max_size=8), st.lists(finite, min_size=8, max_size=8))
@@ -135,9 +136,5 @@ def test_hermitian_symmetry(zc, wc):
 def test_json_round_trip(rng):
     z = rng.standard_normal((2, 4))
     assert np.array_equal(q.hvector_from_json(q.to_lists(z)), z)
-    p = rng.standard_normal(4)
-    assert np.array_equal(q.quat_from_json(q.to_lists(p)), p)
-    with pytest.raises(DimensionMismatch):
-        q.quat_from_json([1.0, 2.0])
     with pytest.raises(DimensionMismatch):
         q.hvector_from_json([[1.0, 2.0]])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import qhb.mobius
+import qhb.quaternions
 from qhb import verify
 
 
@@ -30,8 +31,8 @@ def test_injected_sign_fault_breaks_involution(monkeypatch):
     proves the harness actually measures the identity."""
     true_hua_new = qhb.mobius.hua_new
 
-    def broken_hua_new(u, boundary_margin=0.0):
-        phi = true_hua_new(u, boundary_margin)
+    def broken_hua_new(u):
+        phi = true_hua_new(u)
         return dataclasses.replace(phi, au=-phi.au)
 
     monkeypatch.setattr(qhb.mobius, "hua_new", broken_hua_new)
@@ -39,6 +40,25 @@ def test_injected_sign_fault_breaks_involution(monkeypatch):
     result = verify.run_check(check, seed=0, trials=64)
     assert not result.passed
     assert result.max_error > 1e-3  # far beyond the 1e-12 tolerance
+
+
+def test_injected_qmul_sign_fault_breaks_associativity(monkeypatch):
+    """One flipped sign in the product must exceed the rounding bound of
+    the associativity check by far."""
+    true_qmul = qhb.quaternions.qmul
+
+    def broken_qmul(p, r):
+        out = true_qmul(p, r)
+        p = np.asarray(p, dtype=float)
+        r = np.asarray(r, dtype=float)
+        out[..., 1] -= 2.0 * p[..., 2] * r[..., 3]  # +py*qz becomes -py*qz
+        return out
+
+    monkeypatch.setattr(qhb.quaternions, "qmul", broken_qmul)
+    check = next(c for c in verify.CHECKS if c.name == "quaternion_associativity")
+    result = verify.run_check(check, seed=0, trials=64)
+    assert not result.passed
+    assert result.max_error > 1e6
 
 
 def test_injected_fault_does_not_leak(rng):
