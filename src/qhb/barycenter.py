@@ -66,12 +66,18 @@ class WeightedPoints:
         wts = np.asarray(self.weights, dtype=float)
         if wts.shape != (pts.shape[0],):
             raise QhbError(f"{pts.shape[0]} points but {wts.shape} weights")
+        # whole-array tests, so a valid set pays nothing for naming the first bad index
         if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(wts))):
-            raise NonFinite("coordinates and weights must be finite")
+            i = int(np.argmax(~(np.isfinite(pts).all(axis=(1, 2)) & np.isfinite(wts))))
+            raise NonFinite(f"point {i}: coordinates and weight must be finite")
         if np.any(wts <= 0.0):
-            raise QhbError("weights must be positive")
-        if np.any(q.vnorm2(pts) >= MAX_NORM2):
-            raise NotInBall(f"every point must satisfy |q| < 1 - {BOUNDARY_MARGIN:g}")
+            i = int(np.argmax(wts <= 0.0))
+            raise QhbError(f"point {i}: weight must be positive, got {wts[i]:.17g}")
+        nm2 = q.vnorm2(pts)
+        if np.any(nm2 >= MAX_NORM2):
+            i = int(np.argmax(nm2 >= MAX_NORM2))
+            raise NotInBall(f"point {i}: |q| = {math.sqrt(nm2[i]):.17g} is not inside "
+                            f"|q| < 1 - {BOUNDARY_MARGIN:g}")
         pts, wts = pts.copy(), wts.copy()
         pts.flags.writeable = False
         wts.flags.writeable = False
@@ -139,18 +145,18 @@ class SolverResult:
 
 
 def _energy_batch(data: WeightedPoints, xs: np.ndarray) -> np.ndarray:
-    """Energies at a batch of probe points xs of shape (..., n, 4)."""
+    """Energies at a batch of probe points xs of shape (..., n, 4).  The
+    weighted log sum is an einsum, as in _sweep, so the energy does not
+    depend on the BLAS thread count."""
+    xs = mobius.ball_points(xs, data.n)
     x2 = q.vnorm2(xs)
-    if not np.all(x2 < 1.0):
-        raise NotInBall("probe point outside the open unit ball")
     num2 = q.qnorm2(q.ONE - q.inner(xs[..., None, :, :], data.points))
-    w_log = np.log(num2) @ data.weights
+    w_log = np.einsum("...i,i->...", np.log(num2), data.weights)
     return w_log - data.total_weight * np.log1p(-x2) - data._log_const
 
 
 def energy(data: WeightedPoints, x) -> float:
     """G(x) = sum_i w_i log cosh^2(d(x, q_i)/2) >= 0."""
-    x = q.hvector(x)
     return float(_energy_batch(data, x))
 
 
@@ -280,9 +286,7 @@ def solve(data: WeightedPoints, config: SolverConfig | None = None,
     """
     cfg = config or SolverConfig()
     total = data.total_weight
-    c = _initial_point(data) if start is None else q.hvector(start).astype(float)
-    if not float(q.vnorm2(c)) < 1.0:
-        raise NotInBall("start point outside the open unit ball")
+    c = _initial_point(data) if start is None else mobius.ball_points(start, data.n).copy()
 
     r_vec, rn, e_c, gram, e_scale = _sweep(data, c)
     trace = [e_c]

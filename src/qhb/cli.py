@@ -9,22 +9,22 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
 
 from . import barycenter, geometry, regions, verify
 from . import quaternions as q
-from .errors import NonFinite, NotInBall, QhbError
+from .errors import NonFinite, QhbError
 
 
 def load_point_set(path: str) -> barycenter.WeightedPoints:
     """Read {"dimension": n, "points": [{"coords": [[w,x,y,z],...], "weight": w}]}.
 
-    Every coordinate vector must be finite with |coords| < 1 - 1e-12;
-    weights default to 1.0 and must be finite and positive.  Errors name
-    the offending index.
+    Weights default to 1.0.  This parses the structure, shapes and
+    dimension; WeightedPoints checks the values (finite coordinates and
+    weights, |coords| < 1 - 1e-12, positive weights).  Errors name the
+    offending index.
     """
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
@@ -46,17 +46,8 @@ def load_point_set(path: str) -> barycenter.WeightedPoints:
             raise QhbError(f"point {i}: missing or malformed coords ({exc})") from None
         if coords.shape[0] != n:
             raise QhbError(f"point {i}: has dimension {coords.shape[0]}, expected {n}")
-        w = float(entry.get("weight", 1.0))
-        if not (np.all(np.isfinite(coords)) and math.isfinite(w)):
-            raise NonFinite(f"point {i}: coordinates and weight must be finite")
-        nm2 = float(q.vnorm2(coords))
-        if nm2 >= barycenter.MAX_NORM2:
-            raise NotInBall(f"point {i}: |coords| = {math.sqrt(nm2):.17g} is not inside "
-                            f"|q| < 1 - {barycenter.BOUNDARY_MARGIN:g}")
-        if w <= 0.0:
-            raise QhbError(f"point {i}: weight must be positive, got {w:.17g}")
         pts[i] = coords
-        wts[i] = w
+        wts[i] = float(entry.get("weight", 1.0))
     return barycenter.WeightedPoints(points=pts, weights=wts)
 
 

@@ -13,18 +13,10 @@ import numpy as np
 
 from . import mobius
 from . import quaternions as q
-from .errors import DegenerateGeodesic, InvalidProfile, NotInBall
+from .errors import DegenerateGeodesic, InvalidProfile
 
 # below this separation two points are considered coincident for geodesics
 _COINCIDENT = 1e-15
-
-
-def _check_interior(z: np.ndarray, what: str = "point") -> np.ndarray:
-    if z.ndim == 1:
-        z = z[None, :]
-    if np.any(q.vnorm2(z) >= 1.0):
-        raise NotInBall(f"{what} outside the open unit ball")
-    return z
 
 
 def distance(p, q_point) -> np.ndarray:
@@ -32,7 +24,7 @@ def distance(p, q_point) -> np.ndarray:
 
     p may carry leading batch axes; q_point is a single point.
     """
-    p = _check_interior(np.asarray(p, dtype=float))
+    p = mobius.ball_points(p)
     phi = mobius.hua_new(q_point)
     m = q.vnorm(mobius.hua_apply(phi, p))
     return 2.0 * np.arctanh(m)
@@ -40,8 +32,8 @@ def distance(p, q_point) -> np.ndarray:
 
 def cosh2_half_distance(x, y) -> np.ndarray:
     """Poisson-kernel form |1 - <x,y>|^2 / ((1-|x|^2)(1-|y|^2)) = cosh^2(d/2)."""
-    x = _check_interior(np.asarray(x, dtype=float))
-    y = _check_interior(np.asarray(y, dtype=float))
+    x = mobius.ball_points(x)
+    y = mobius.ball_points(y)
     num = q.qnorm2(q.ONE - q.inner(x, y))
     return num / ((1.0 - q.vnorm2(x)) * (1.0 - q.vnorm2(y)))
 
@@ -67,7 +59,7 @@ class GeodesicChart:
 
     base: np.ndarray       # (n, 4), |base| < 1
     direction: np.ndarray  # (n, 4), |direction| = 1
-    _phi: mobius.HuaInvolution = field(repr=False, default=None)
+    phi: mobius.HuaInvolution = field(repr=False)  # Phi_base
 
 
 def geodesic_chart(base, direction) -> GeodesicChart:
@@ -76,15 +68,14 @@ def geodesic_chart(base, direction) -> GeodesicChart:
     dn = float(q.vnorm(direction))
     if dn < _COINCIDENT:
         raise DegenerateGeodesic("zero direction")
-    return GeodesicChart(base=base, direction=direction / dn, _phi=mobius.hua_new(base))
+    return GeodesicChart(base=base, direction=direction / dn, phi=mobius.hua_new(base))
 
 
 def geodesic_point(chart: GeodesicChart, t) -> np.ndarray:
     """Point at arc length t; t may be an array (batch of points)."""
     t = np.asarray(t, dtype=float)
     w = np.multiply.outer(-np.tanh(t / 2.0), chart.direction)
-    phi = chart._phi if chart._phi is not None else mobius.hua_new(chart.base)
-    return mobius.hua_apply(phi, w)
+    return mobius.hua_apply(chart.phi, w)
 
 
 def geodesic_between(p, q_point) -> GeodesicChart:
@@ -95,7 +86,7 @@ def geodesic_between(p, q_point) -> GeodesicChart:
     mn = float(q.vnorm(m))
     if mn < _COINCIDENT:
         raise DegenerateGeodesic("endpoints coincide")
-    return GeodesicChart(base=p, direction=-m / mn, _phi=phi)
+    return GeodesicChart(base=p, direction=-m / mn, phi=phi)
 
 
 # ---------------------------------------------------------------------------
@@ -105,13 +96,9 @@ def geodesic_between(p, q_point) -> GeodesicChart:
 def measure_density(z) -> np.ndarray:
     """Density 4^(2n) / (1-|z|^2)^(2n+2) of the invariant volume w.r.t.
     Lebesgue measure on R^(4n).  Batched over z."""
-    z = np.asarray(z, dtype=float)
-    if z.ndim == 1:
-        z = z[None, :]
+    z = mobius.ball_points(z)
     n = z.shape[-2]
     z2 = q.vnorm2(z)
-    if np.any(z2 >= 1.0):
-        raise NotInBall("point outside the open unit ball")
     return 4.0 ** (2 * n) / (1.0 - z2) ** (2 * n + 2)
 
 
@@ -152,7 +139,7 @@ def convexity_profile(v, y) -> ConvexityProfile:
     v = q.hvector(v)
     if abs(float(q.vnorm(v)) - 1.0) > 1e-9:
         raise InvalidProfile("direction must be a unit vector")
-    y = _check_interior(q.hvector(y), "target")
+    y = mobius.ball_points(y)
     w = q.inner(v, y)
     r = float(q.qnorm(w))
     if r >= 1.0:

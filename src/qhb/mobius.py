@@ -25,8 +25,9 @@ from . import quaternions as q
 from .errors import DimensionMismatch, NotInBall, QhbError, Singular
 
 # hua_apply takes points on the closed ball (Phi_u maps the sphere to itself),
-# so |z|^2 may exceed 1 by roundoff; point sets and samples instead obey the
-# interior rule barycenter.MAX_NORM2
+# so |z|^2 may exceed 1 by roundoff; every other function taking points
+# requires the open ball (ball_points), and point sets and samples the
+# stricter barycenter.MAX_NORM2
 _BALL_SLACK = 1e-12
 # M* J M = J must hold to this accuracy for a matrix to be accepted
 SP_CHECK_TOL = 1e-9
@@ -45,13 +46,26 @@ class HuaInvolution:
         return self.u.shape[0]
 
 
+def ball_points(z, n: int | None = None) -> np.ndarray:
+    """z as points of the open unit ball, shape (..., n, 4); a lone
+    quaternion (4,) is a point of H^1.  The one open-ball check: every
+    function taking points except hua_apply calls it.  Raises
+    DimensionMismatch for a wrong shape, or a dimension other than a given
+    n, and NotInBall unless |z| < 1, NaN included."""
+    z = np.asarray(z, dtype=float)
+    if z.shape == (4,):
+        z = z[None, :]
+    if z.ndim < 2 or z.shape[-1] != 4 or (n is not None and z.shape[-2] != n):
+        raise DimensionMismatch(f"expected points in H^{n or 'n'}, got shape {z.shape}")
+    if not (q.vnorm2(z) < 1.0).all():
+        raise NotInBall("point outside the open unit ball")
+    return z
+
+
 def hua_new(u) -> HuaInvolution:
     """Construct Phi_u for |u| < 1; u=0 gives s=1, A=I."""
-    u = q.hvector(u)
-    uu = float(q.vnorm2(u))
-    if not uu < 1.0:
-        raise NotInBall(f"|u| = {np.sqrt(uu):.17g} is not inside the unit ball")
-    s = float(np.sqrt(1.0 - uu))
+    u = ball_points(u)
+    s = float(np.sqrt(1.0 - q.vnorm2(u)))
     au = q.outer(u, u) / (1.0 + s) + s * q.identity_matrix(u.shape[0])
     u = u.copy()
     u.flags.writeable = False
@@ -179,14 +193,7 @@ def projective_apply(m: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 def sp_apply(g: SpMatrix, z) -> np.ndarray:
     """Ball action (Az + alpha)(beta z + a)^{-1}; z batched, |z| < 1."""
-    z = np.asarray(z, dtype=float)
-    if z.ndim == 1:
-        z = z[None, :]
-    if z.shape[-2] != g.n or z.shape[-1] != 4:
-        raise DimensionMismatch(f"expected points in H^{g.n}, got shape {z.shape}")
-    if not np.all(q.vnorm2(z) < 1.0):
-        raise NotInBall("point outside the open unit ball")
-    return projective_apply(g.matrix, z)
+    return projective_apply(g.matrix, ball_points(z, g.n))
 
 
 def sp_inverse(g: SpMatrix) -> SpMatrix:
@@ -233,11 +240,7 @@ def jacobian_det(phi: HuaInvolution, z) -> np.ndarray:
 
     always strictly positive.  Batched over z.
     """
-    z = np.asarray(z, dtype=float)
-    if z.ndim == 1:
-        z = z[None, :]
-    if not np.all(q.vnorm2(z) < 1.0):
-        raise NotInBall("point outside the open unit ball")
+    z = ball_points(z, phi.n)
     den2 = q.qnorm2(q.ONE - q.inner(z, phi.u))
     return (phi.s ** 2 / den2) ** (2 * phi.n + 2)
 

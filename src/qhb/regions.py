@@ -66,9 +66,7 @@ def _ball_center(center, radius: float, n: Optional[int]) -> np.ndarray:
 
 def geodesic_ball(center, radius: float, n: Optional[int] = None) -> RegionSpec:
     """Metric ball B(center, radius); always inside the open unit ball."""
-    center = _ball_center(center, radius, n)
-    if float(q.vnorm2(center)) >= 1.0:
-        raise NotInBall("center outside the open unit ball")
+    center = mobius.ball_points(_ball_center(center, radius, n))
     d0 = float(geometry.distance(center, q.zero_vector(center.shape[0])))
     rmax = np.tanh((d0 + radius) / 2.0)
     dim = 4 * center.shape[0]

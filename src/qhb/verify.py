@@ -87,16 +87,12 @@ def random_weighted_points(rng, n: int, size: int, rmax: float = 0.8) -> barycen
     )
 
 
-def _dims(k: int) -> int:
-    return 1 + (k % 2)
-
-
 def _batches(trials: int, size: int):
     """Yield (n, b): batches of b <= size trials that sum to `trials`,
     alternating dimension 1 and 2.  Draws nothing; each check draws its
     own batch, so its random stream is fixed by the check alone."""
     for k, start in enumerate(range(0, trials, size)):
-        yield _dims(k), min(size, trials - start)
+        yield 1 + k % 2, min(size, trials - start)
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +116,13 @@ _GAMMA4 = 2.0 * _EPS / (1.0 - 2.0 * _EPS)   # gamma_4 = 4u / (1 - 4u), u = eps /
 _TINY = float(np.finfo(float).smallest_subnormal)
 
 
+def _qabs(x) -> np.ndarray:
+    """|x| of quaternions by nested hypot; squaring the components, as
+    q.qnorm does, underflows to 0 below ~1e-154."""
+    x = np.asarray(x, dtype=float)
+    return np.hypot(np.hypot(x[..., 0], x[..., 1]), np.hypot(x[..., 2], x[..., 3]))
+
+
 def associativity_bound(p, r, s) -> np.ndarray:
     """Float64 rounding bound on each component of (pr)s - p(rs), shape (..., 1).
 
@@ -131,8 +134,8 @@ def associativity_bound(p, r, s) -> np.ndarray:
     that, about 12 eps |p||r||s|.  Underflow adds at most half a subnormal
     per rounded product; the last term bounds it through the second product.
     """
-    np_, ns = q.qnorm(p), q.qnorm(s)
-    rel = (6.0 * _GAMMA4 + 4.0 * _GAMMA4 ** 2) * np_ * q.qnorm(r) * ns
+    np_, nr, ns = _qabs(p), _qabs(r), _qabs(s)
+    rel = (6.0 * _GAMMA4 + 4.0 * _GAMMA4 ** 2) * np_ * nr * ns
     return (rel + 8.0 * _TINY * (np_ + ns + 1.0))[..., None]
 
 
@@ -145,9 +148,7 @@ def check_quaternion_associativity(rng, trials: int) -> float:
 
 def check_inner_hermitian_symmetry(rng, trials: int) -> float:
     err = 0.0
-    for k in range(max(1, trials // 64)):
-        n = _dims(k)
-        b = min(64, trials)
+    for n, b in _batches(trials, 64):
         z = random_ball_points(rng, n, b)
         w = random_ball_points(rng, n, b)
         err = max(err, float(np.max(np.abs(q.qconj(q.inner(z, w)) - q.inner(w, z)))))
@@ -180,8 +181,7 @@ def check_norm_relation(rng, trials: int) -> float:
 
 def check_sp_membership(rng, trials: int) -> float:
     err = 0.0
-    for k in range(trials):
-        n = _dims(k)
+    for n, _ in _batches(trials, 1):
         err = max(err, mobius.sp_defect(_raw_sp(rng, n)))
     return err
 
@@ -198,8 +198,7 @@ def check_action_consistency(rng, trials: int) -> float:
 
 def check_au_inverse(rng, trials: int) -> float:
     err = 0.0
-    for k in range(trials):
-        n = _dims(k)
+    for n, _ in _batches(trials, 1):
         phi = mobius.hua_new(random_ball_point(rng, n))
         inv = -q.outer(phi.u, phi.u) / ((1.0 + phi.s) * phi.s) \
             + q.identity_matrix(n) / phi.s
@@ -209,8 +208,7 @@ def check_au_inverse(rng, trials: int) -> float:
 
 def check_jacobian_fd(rng, trials: int, step: float = 1e-5) -> float:
     err = 0.0
-    for k in range(trials):
-        n = _dims(k)
+    for n, _ in _batches(trials, 1):
         phi = mobius.hua_new(random_ball_point(rng, n, rmax=0.8))
         z = random_ball_point(rng, n, rmax=0.8)
         jac = float(mobius.jacobian_det(phi, z))
@@ -237,8 +235,7 @@ def check_measure_invariance(rng, trials: int) -> float:
 def check_intertwine_offdiag(rng, trials: int) -> float:
     # every isometry is exactly rotation . Phi_c, so one Hua factor is general
     err = 0.0
-    for k in range(trials):
-        n = _dims(k)
+    for n, _ in _batches(trials, 1):
         g = _raw_sp(rng, n, hua_factors=1)
         c = random_ball_point(rng, n, rmax=0.7)
         gc = mobius.projective_apply(g, c)
@@ -300,12 +297,11 @@ def check_distance_isometry(rng, trials: int) -> float:
 
 def check_geodesic_endpoint(rng, trials: int) -> float:
     err = 0.0
-    for k in range(trials):
-        n = _dims(k)
+    for n, _ in _batches(trials, 1):
         p = random_ball_point(rng, n)
         y = random_ball_point(rng, n)
         chart = geometry.geodesic_between(p, y)
-        d = 2.0 * np.arctanh(float(q.vnorm(mobius.hua_apply(chart._phi, y))))
+        d = 2.0 * np.arctanh(float(q.vnorm(mobius.hua_apply(chart.phi, y))))
         err = max(err, float(np.max(np.abs(geometry.geodesic_point(chart, d) - y))))
     return err
 
@@ -326,8 +322,7 @@ def check_convexity_fd(rng, trials: int, h: float = 1e-3) -> float:
     err = 0.0
     tgrid = np.linspace(-3.0, 3.0, 7)
     offsets = np.array([-2.0 * h, -h, 0.0, h, 2.0 * h])
-    for k in range(max(1, trials // len(tgrid))):
-        n = _dims(k)
+    for n, _ in _batches(max(1, trials // len(tgrid)), 1):
         v = random_unit_vector(rng, n)
         y = random_ball_point(rng, n)
         prof = geometry.convexity_profile(v, y)
@@ -342,8 +337,7 @@ def check_convexity_fd(rng, trials: int, h: float = 1e-3) -> float:
 def check_convexity_positive(rng, trials: int) -> float:
     worst = -np.inf
     tgrid = np.linspace(-10.0, 10.0, 25)
-    for k in range(trials):
-        n = _dims(k)
+    for n, _ in _batches(trials, 1):
         prof = geometry.convexity_profile(random_unit_vector(rng, n), random_ball_point(rng, n, rmax=0.98))
         worst = max(worst, float(np.max(-geometry.convexity_second_derivative(prof, tgrid))))
     return worst
@@ -371,8 +365,7 @@ def gradient_check(data: barycenter.WeightedPoints, c) -> float:
 
 def check_gradient_residual(rng, trials: int) -> float:
     err = 0.0
-    for k in range(trials):
-        n = _dims(k)
+    for n, _ in _batches(trials, 1):
         data = random_weighted_points(rng, n, int(rng.integers(2, 7)))
         c = random_ball_point(rng, n, rmax=0.7)
         err = max(err, gradient_check(data, c))
@@ -381,8 +374,7 @@ def check_gradient_residual(rng, trials: int) -> float:
 
 def check_solver_start_independence(rng, trials: int) -> float:
     err = 0.0
-    for k in range(trials):
-        n = _dims(k)
+    for n, _ in _batches(trials, 1):
         data = random_weighted_points(rng, n, 10)
         sols = [barycenter.solve(data, start=random_ball_point(rng, n, rmax=0.8)).barycenter
                 for _ in range(5)]
@@ -405,8 +397,7 @@ def check_symmetric_four_point(rng, trials: int) -> float:
 
 def check_energy_monotone(rng, trials: int) -> float:
     worst = -np.inf
-    for k in range(trials):
-        n = _dims(k)
+    for n, _ in _batches(trials, 1):
         data = random_weighted_points(rng, n, 8)
         trace = barycenter.solve(data).energy_trace
         diffs = np.diff(trace)
@@ -418,8 +409,7 @@ def check_energy_monotone(rng, trials: int) -> float:
 def check_energy_convex_geodesic(rng, trials: int) -> float:
     worst = -np.inf
     tgrid = np.linspace(-2.0, 2.0, 21)
-    for k in range(trials):
-        n = _dims(k)
+    for n, _ in _batches(trials, 1):
         data = random_weighted_points(rng, n, 6)
         chart = geometry.geodesic_chart(random_ball_point(rng, n, rmax=0.5),
                                         random_unit_vector(rng, n))

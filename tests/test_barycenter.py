@@ -9,7 +9,7 @@ import pytest
 from qhb import barycenter as bc
 from qhb import geometry, mobius, verify
 from qhb import quaternions as q
-from qhb.errors import EmptyData, NonFinite, NotInBall, QhbError
+from qhb.errors import DimensionMismatch, EmptyData, NonFinite, NotInBall, QhbError
 from qhb.verify import random_ball_point, random_ball_points, random_sp, random_weighted_points
 
 
@@ -52,7 +52,7 @@ def test_weighted_points_validation():
     (0.1, math.nan), (0.1, math.inf), (math.nan, 1.0), (-math.inf, 1.0),
 ], ids=["nan-weight", "inf-weight", "nan-coordinate", "inf-coordinate"])
 def test_weighted_points_reject_non_finite(coord, weight):
-    with pytest.raises(NonFinite):
+    with pytest.raises(NonFinite, match="point 1"):
         bc.WeightedPoints(points=np.array([[[0.2, 0.0, 0.0, 0.0]], [[0.3, coord, 0.0, 0.0]]]),
                           weights=np.array([1.0, weight]))
 
@@ -250,6 +250,8 @@ def test_solver_start_outside_ball():
         bc.solve(two_weighted(), start=pt(1.2))
     with pytest.raises(NotInBall):
         bc.solve(two_weighted(), start=pt(math.nan))
+    with pytest.raises(DimensionMismatch):
+        bc.solve(two_weighted(), start=pt(0.1, 0.1))
 
 
 def test_sweep_matches_independent_code(rng):
@@ -282,15 +284,16 @@ def test_sweep_matches_independent_code(rng):
 def test_sweep_is_independent_of_blas_threads():
     # a threaded BLAS dot sums large arrays in per-thread pieces; on the
     # n=1 set a sweep that took sum_i w_i log den2_i as one got an energy
-    # one ulp apart under one and two BLAS threads.  n=3 gives the kernel's
-    # GEMMs an inner dimension of 4n = 12.
+    # one ulp apart under one and two BLAS threads, and energy() did too.
+    # n=3 gives the kernel's GEMMs an inner dimension of 4n = 12.
     script = (
         "import numpy as np; from qhb import barycenter as bc\n"
         "from qhb.verify import random_weighted_points\n"
         "for n in (1, 3):\n"
         "    data = random_weighted_points(np.random.default_rng(2), n, 20000)\n"
         "    r, rn, e, gram, scale = bc._sweep(data, np.full((n, 4), 0.1))\n"
-        "    print(e.hex(), rn.hex(), r.tobytes().hex(), gram.tobytes().hex())\n"
+        "    print(e.hex(), rn.hex(), r.tobytes().hex(), gram.tobytes().hex(),\n"
+        "          bc.energy(data, np.full((n, 4), 0.1)).hex())\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(bc.__file__)))
     outs = set()

@@ -95,7 +95,7 @@ def test_barycenter_reports_offending_index(capsys, tmp_path):
 def test_point_within_boundary_margin_is_rejected(capsys, tmp_path):
     # |q| = 1 - 5e-13 lies in the open ball but not in |q| < 1 - 1e-12
     edge = 1.0 - 5e-13
-    with pytest.raises(NotInBall):
+    with pytest.raises(NotInBall, match="point 1"):
         bc.WeightedPoints(points=np.array([[[0.1, 0, 0, 0]], [[edge, 0, 0, 0]]]),
                           weights=np.ones(2))
     path = write_points(tmp_path, "edge.json", 1, [

@@ -46,6 +46,11 @@ def test_distance_rejects_outside_points():
         geometry.distance(pt(1.0), pt(0.0))
     with pytest.raises(NotInBall):
         geometry.distance(pt(0.0), pt(1.0))
+    for x, y in ((pt(math.nan), pt(0.0)), (pt(0.0), pt(math.nan))):
+        with pytest.raises(NotInBall):
+            geometry.distance(x, y)
+        with pytest.raises(NotInBall):
+            geometry.cosh2_half_distance(x, y)
 
 
 def test_triangle_inequality(rng):
@@ -169,6 +174,8 @@ def test_measure_density_at_origin():
 def test_measure_density_rejects_boundary():
     with pytest.raises(NotInBall):
         geometry.measure_density(pt(1.0))
+    with pytest.raises(NotInBall):
+        geometry.measure_density(pt(math.nan))
 
 
 def sphere_area(m: int) -> float:
@@ -232,6 +239,8 @@ def test_convexity_profile_validation():
         geometry.ConvexityProfile(a=0.0, r=1.0)
     with pytest.raises(InvalidProfile):
         geometry.convexity_profile(pt(0.5), pt(0.1))  # direction not unit
+    with pytest.raises(NotInBall):
+        geometry.convexity_profile(pt(1.0), pt(math.nan))
 
 
 def test_quadratic_endpoint_value_via_fit():

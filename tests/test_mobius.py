@@ -155,6 +155,8 @@ def test_sp_apply_translation_values():
     g = translation_third()
     assert np.allclose(mobius.sp_apply(g, pt(0.5)), pt(5 / 7), atol=1e-15)
     assert np.allclose(mobius.sp_apply(g, pt(0.0)), pt(1 / 3), atol=1e-15)
+    with pytest.raises(NotInBall):
+        mobius.sp_apply(g, pt(math.nan))
 
 
 def test_sp_apply_identity(rng):
@@ -255,6 +257,8 @@ def test_jacobian_closed_form_values(rng):
     phi0 = mobius.hua_new(np.zeros((2, 4)))
     z = random_ball_points(rng, 2, 5)
     assert np.allclose(mobius.jacobian_det(phi0, z), 1.0, atol=0)
+    with pytest.raises(NotInBall):
+        mobius.jacobian_det(phi, pt(math.nan))
 
 
 def test_au_hermitian_and_square(rng):

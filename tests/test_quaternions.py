@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from qhb import quaternions as q
 from qhb.errors import DimensionMismatch, DivisionByZero
@@ -120,6 +120,9 @@ def test_conjugation_reverses_products(p, r):
 
 
 @given(quat_st, quat_st, quat_st)
+# |s| ~ 1e-175: a bound from squared components underflowed to its 1e-322 floor
+@example(np.array([0.0, 0.0, 0.0, 1.5]), np.array([0.0, 0.0, 0.0, 1.5]),
+         np.array([0.0, 0.0, 0.0, 1.0712240445551734e-175]))
 def test_associativity(p, r, s):
     lhs = q.qmul(q.qmul(p, r), s)
     rhs = q.qmul(p, q.qmul(r, s))
