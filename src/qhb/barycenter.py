@@ -42,6 +42,7 @@ import numpy as np
 from . import mobius
 from . import quaternions as q
 from .errors import EmptyData, NonFinite, NotInBall, QhbError
+from .mobius import _QMUL, _hua_rows
 
 # line search gives up once eta underflows; the iterate cannot improve
 _ETA_FLOOR = 1e-18
@@ -157,13 +158,13 @@ def _energy_batch(data: WeightedPoints, xs: np.ndarray) -> np.ndarray:
 
 def energy(data: WeightedPoints, x) -> float:
     """G(x) = sum_i w_i log cosh^2(d(x, q_i)/2) >= 0."""
-    return float(_energy_batch(data, x))
+    return float(_energy_batch(data, q.hvector(x)))
 
 
 def residual(data: WeightedPoints, c) -> np.ndarray:
     """R(c) = sum_i w_i Phi_c(q_i), a vector in H^n; zero exactly at the
     barycenter."""
-    phi = mobius.hua_new(q.hvector(c))
+    phi = mobius.hua_new(c)
     mapped = mobius.hua_apply(phi, data.points)
     return np.einsum("i,ijk->jk", data.weights, mapped)
 
@@ -176,51 +177,10 @@ def _initial_point(data: WeightedPoints) -> np.ndarray:
     return mean
 
 
-# -- the Hua kernel and the fused sweep -------------------------------------
+# -- the fused sweep ---------------------------------------------------------
 #
-# With c fixed, z -> <z,c> and w -> (c_j w)_j are real-linear maps, so in
-# real coordinates (a point of H^n as a row of 4n floats) Phi_c of many
-# points is two small GEMMs plus one right division per point by
-# 1 - <z,c>: the real 4 x 4 representation of quaternions (F. Zhang,
-# "Quaternions and matrices of quaternions", Linear Algebra Appl. 251,
-# 1997).  The energy term |1 - <c,q_i>|^2 equals |1 - <q_i,c>|^2, the
-# squared modulus of that denominator, so one sweep over the points
-# yields R(c), G(c) and the Gram matrix of the mapped points.
-
-_E = np.eye(4)
-_QMUL = q.qmul(_E[:, None], _E[None, :])  # _QMUL[a, b] = e_a e_b, e = (1, i, j, k)
-
-
-def _hua_rows(c: np.ndarray, flat: np.ndarray):
-    """Phi_c of the rows of flat (M, 4n), each the real coordinates of a
-    point of H^n, and |1 - <z,c>|^2 per row.
-
-    The right division x d = sum_f d_f (x e_f) is four (M n, 4) @ (4, 4)
-    products rather than one product with a per-point 4 x 4 matrix, and
-    the temporaries are updated in place: the sweep's temporaries set the
-    peak memory of a large region barycenter."""
-    n = c.shape[0]
-    m = flat.shape[0]
-    s = math.sqrt(1.0 - float(q.vnorm2(c)))
-    m_in = (q.qconj(c) @ _QMUL.reshape(4, 16)).reshape(4 * n, 4)
-    m_out = (c @ _QMUL.reshape(4, 16)).reshape(n, 4, 4).transpose(1, 0, 2).reshape(4, 4 * n)
-    ip = flat @ m_in                        # <z, c>, (M, 4)
-    num = ip @ m_out                        # (c_j <z, c>)_j, (M, 4n)
-    num /= -(1.0 + s)
-    num += c.reshape(-1)
-    num -= s * flat                         # c - A_c z
-    dinv = np.subtract(q.ONE, ip, out=ip)   # 1 - <z, c>, in ip's storage
-    den2 = q.qnorm2(dinv)
-    dinv[:, 1:] *= -1.0
-    dinv /= den2[:, None]                   # (1 - <z, c>)^{-1}
-    num = num.reshape(m * n, 4)
-    out = np.zeros((m, n, 4))
-    term = np.empty((m, n, 4))
-    for f in range(4):
-        np.matmul(num, _QMUL[:, f], out=term.reshape(m * n, 4))
-        term *= dinv[:, None, f:f + 1]
-        out += term
-    return out.reshape(m, 4 * n), den2
+# |1 - <c,q_i>|^2 in the energy is the kernel's squared denominator
+# |1 - <q_i,c>|^2, so one kernel pass yields R(c), G(c) and the Gram matrix.
 
 
 def _sweep(data: WeightedPoints, c: np.ndarray):
@@ -286,7 +246,7 @@ def solve(data: WeightedPoints, config: SolverConfig | None = None,
     """
     cfg = config or SolverConfig()
     total = data.total_weight
-    c = _initial_point(data) if start is None else mobius.ball_points(start, data.n).copy()
+    c = _initial_point(data) if start is None else mobius.ball_points(q.hvector(start), data.n).copy()
 
     r_vec, rn, e_c, gram, e_scale = _sweep(data, c)
     trace = [e_c]

@@ -8,6 +8,7 @@ codes are 0 (success), 1 (bad input), 2 (solver did not converge).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import barycenter, geometry, regions, verify
 from . import quaternions as q
-from .errors import NonFinite, QhbError
+from .errors import DimensionMismatch, NonFinite, QhbError
 
 
 def load_point_set(path: str) -> barycenter.WeightedPoints:
@@ -45,7 +46,7 @@ def load_point_set(path: str) -> barycenter.WeightedPoints:
         except (KeyError, TypeError) as exc:
             raise QhbError(f"point {i}: missing or malformed coords ({exc})") from None
         if coords.shape[0] != n:
-            raise QhbError(f"point {i}: has dimension {coords.shape[0]}, expected {n}")
+            raise DimensionMismatch(f"point {i}: has dimension {coords.shape[0]}, expected {n}")
         pts[i] = coords
         wts[i] = float(entry.get("weight", 1.0))
     return barycenter.WeightedPoints(points=pts, weights=wts)
@@ -62,9 +63,9 @@ def parse_point(text: str, n: int | None = None) -> np.ndarray:
         if arr.ndim == 1 and arr.shape == (4,):
             arr = arr[None, :]
         elif arr.ndim != 2 or arr.shape[-1] != 4:
-            raise QhbError(f"cannot read a point from {text!r}")
+            raise DimensionMismatch(f"cannot read a point from {text!r}")
     if n is not None and arr.shape[0] != n:
-        raise QhbError(f"point has dimension {arr.shape[0]}, expected {n}")
+        raise DimensionMismatch(f"point has dimension {arr.shape[0]}, expected {n}")
     if not np.all(np.isfinite(arr)):
         raise NonFinite(f"point {text!r} is not finite")
     return arr
@@ -75,11 +76,6 @@ def _solver_config(args) -> barycenter.SolverConfig:
         step=args.step, max_iters=args.max_iters, tol=args.tol,
         line_search=not args.no_line_search,
     )
-
-
-def _config_echo(cfg: barycenter.SolverConfig) -> dict:
-    return {"step": cfg.step, "max_iters": cfg.max_iters, "tol": cfg.tol,
-            "line_search": cfg.line_search}
 
 
 def _result_fields(res: barycenter.SolverResult) -> dict:
@@ -102,7 +98,7 @@ def cmd_barycenter(args) -> int:
     res = barycenter.solve(data, cfg)
     payload = {"dimension": data.n}
     payload.update(_result_fields(res))
-    payload["config"] = _config_echo(cfg)
+    payload["config"] = dataclasses.asdict(cfg)
     _emit(payload)
     return 0 if res.converged else 2
 
@@ -126,7 +122,7 @@ def cmd_region_barycenter(args) -> int:
         "samples_requested": ss.count_requested,
         "samples_accepted": ss.count_accepted,
         "seed": ss.seed,
-        "config": _config_echo(cfg),
+        "config": dataclasses.asdict(cfg),
     })
     _emit(payload)
     return 0 if rr.result.converged else 2

@@ -139,7 +139,7 @@ def convexity_profile(v, y) -> ConvexityProfile:
     v = q.hvector(v)
     if abs(float(q.vnorm(v)) - 1.0) > 1e-9:
         raise InvalidProfile("direction must be a unit vector")
-    y = mobius.ball_points(y)
+    y = mobius.ball_points(q.hvector(y))
     w = q.inner(v, y)
     r = float(q.qnorm(w))
     if r >= 1.0:

@@ -17,6 +17,7 @@ right division by the last homogeneous coordinate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,8 +64,8 @@ def ball_points(z, n: int | None = None) -> np.ndarray:
 
 
 def hua_new(u) -> HuaInvolution:
-    """Construct Phi_u for |u| < 1; u=0 gives s=1, A=I."""
-    u = ball_points(u)
+    """Construct Phi_u for one point u, |u| < 1; u=0 gives s=1, A=I."""
+    u = ball_points(q.hvector(u))
     s = float(np.sqrt(1.0 - q.vnorm2(u)))
     au = q.outer(u, u) / (1.0 + s) + s * q.identity_matrix(u.shape[0])
     u = u.copy()
@@ -83,14 +84,56 @@ def _check_in_closed_ball(z: np.ndarray, n: int) -> np.ndarray:
     return z
 
 
+# -- the Hua kernel ----------------------------------------------------------
+#
+# With c fixed, z -> <z,c> and w -> (c_j w)_j are real-linear maps, so in
+# real coordinates (a point of H^n as a row of 4n floats) Phi_c of many
+# points is two small GEMMs plus one right division per point by
+# 1 - <z,c>: the real 4 x 4 representation of quaternions (F. Zhang,
+# "Quaternions and matrices of quaternions", Linear Algebra Appl. 251,
+# 1997).  hua_apply and the solver run this kernel; projective_apply of
+# hua_matrix_array(phi) is a separate code path, the tests' reference.
+
+_E = np.eye(4)
+_QMUL = q.qmul(_E[:, None], _E[None, :])  # _QMUL[a, b] = e_a e_b, e = (1, i, j, k)
+
+
+def _hua_rows(c: np.ndarray, flat: np.ndarray):
+    """Phi_c of the rows of flat (M, 4n), each the real coordinates of a
+    point of H^n, and |1 - <z,c>|^2 per row.
+
+    The right division x d = sum_f d_f (x e_f) is four (M n, 4) @ (4, 4)
+    products rather than one product with a per-point 4 x 4 matrix, and
+    the temporaries are updated in place: the sweep's temporaries set the
+    peak memory of a large region barycenter."""
+    n = c.shape[0]
+    m = flat.shape[0]
+    s = math.sqrt(1.0 - float(q.vnorm2(c)))
+    m_in = (q.qconj(c) @ _QMUL.reshape(4, 16)).reshape(4 * n, 4)
+    m_out = (c @ _QMUL.reshape(4, 16)).reshape(n, 4, 4).transpose(1, 0, 2).reshape(4, 4 * n)
+    ip = flat @ m_in                        # <z, c>, (M, 4)
+    num = ip @ m_out                        # (c_j <z, c>)_j, (M, 4n)
+    num /= -(1.0 + s)
+    num += c.reshape(-1)
+    num -= s * flat                         # c - A_c z
+    dinv = np.subtract(q.ONE, ip, out=ip)   # 1 - <z, c>, in ip's storage
+    den2 = q.qnorm2(dinv)
+    dinv[:, 1:] *= -1.0
+    dinv /= den2[:, None]                   # (1 - <z, c>)^{-1}
+    num = num.reshape(m * n, 4)
+    out = np.zeros((m, n, 4))
+    term = np.empty((m, n, 4))
+    for f in range(4):
+        np.matmul(num, _QMUL[:, f], out=term.reshape(m * n, 4))
+        term *= dinv[:, None, f:f + 1]
+        out += term
+    return out.reshape(m, 4 * n), den2
+
+
 def hua_apply(phi: HuaInvolution, z) -> np.ndarray:
     """Evaluate Phi_u(z); z may be a batch (..., n, 4), |z| <= 1 allowed."""
     z = _check_in_closed_ball(np.asarray(z, dtype=float), phi.n)
-    ip = q.inner(z, phi.u)                      # <z,u>, shape (..., 4)
-    num = phi.u - q.mat_apply(phi.au, z)
-    den = q.ONE - ip
-    dinv = q.qconj(den) / q.qnorm2(den)[..., None]
-    return q.qmul(num, dinv[..., None, :])
+    return _hua_rows(phi.u, z.reshape(-1, 4 * phi.n))[0].reshape(z.shape)
 
 
 def hua_fixed_point(phi: HuaInvolution) -> np.ndarray:

@@ -88,11 +88,11 @@ def qinv(q) -> np.ndarray:
 
 
 def hvector(components) -> np.ndarray:
-    """Coerce nested lists / arrays to an (n, 4) vector in H^n."""
+    """One vector in H^n as an (n, 4) array; a lone quaternion (4,) is in H^1."""
     z = np.asarray(components, dtype=float)
-    if z.ndim == 1 and z.shape == (4,):
+    if z.shape == (4,):
         z = z[None, :]
-    if z.ndim < 2 or z.shape[-1] != 4:
+    if z.ndim != 2 or z.shape[-1] != 4:
         raise DimensionMismatch(f"expected shape (n, 4), got {z.shape}")
     return z
 

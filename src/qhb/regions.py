@@ -29,7 +29,7 @@ import numpy as np
 from . import geometry, mobius
 from . import quaternions as q
 from .barycenter import MAX_NORM2, SolverConfig, SolverResult, WeightedPoints, solve
-from .errors import EmptyRegion, NonFinite, NotInBall, QhbError
+from .errors import DimensionMismatch, EmptyRegion, NonFinite, NotInBall, QhbError
 
 CHUNK = 1 << 16
 
@@ -56,7 +56,7 @@ def _ball_center(center, radius: float, n: Optional[int]) -> np.ndarray:
     dimension, finiteness and a positive radius."""
     center = q.hvector(center)
     if n is not None and center.shape[0] != n:
-        raise QhbError(f"center has dimension {center.shape[0]}, expected {n}")
+        raise DimensionMismatch(f"center has dimension {center.shape[0]}, expected {n}")
     if not (np.all(np.isfinite(center)) and math.isfinite(radius)):
         raise NonFinite("center and radius must be finite")
     if radius <= 0.0:

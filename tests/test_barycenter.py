@@ -99,6 +99,8 @@ def test_energy_equals_log_cosh_sum(rng):
 def test_energy_rejects_outside_probe():
     with pytest.raises(NotInBall):
         bc.energy(two_weighted(), pt(1.0))
+    with pytest.raises(DimensionMismatch):
+        bc.energy(two_weighted(), np.zeros((2, 1, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -252,18 +254,23 @@ def test_solver_start_outside_ball():
         bc.solve(two_weighted(), start=pt(math.nan))
     with pytest.raises(DimensionMismatch):
         bc.solve(two_weighted(), start=pt(0.1, 0.1))
+    with pytest.raises(DimensionMismatch):
+        bc.solve(two_weighted(), start=np.zeros((1, 1, 4)))
 
 
 def test_sweep_matches_independent_code(rng):
-    # the sweep and the chart step against hua_apply, residual() and energy()
+    # the sweep and the chart step against energy() and the projective
+    # action of the Hua matrix, a qmul code path apart from the Hua kernel
+    # that residual() and hua_apply share with the sweep
     for n in (1, 2, 3, 4):
         for size in (1, 2, 7):
             data = random_weighted_points(rng, n, size)
             c = random_ball_point(rng, n, rmax=0.6)
             r_vec, rn, e, gram, scale = bc._sweep(data, c)
-            phi = mobius.hua_new(c)
-            mapped = mobius.hua_apply(phi, data.points).reshape(size, 4 * n)
-            ref_r = bc.residual(data, c)
+            hua = mobius.hua_matrix_array(mobius.hua_new(c))
+            mapped = mobius.projective_apply(hua, data.points)
+            ref_r = np.einsum("i,ijk->jk", data.weights, mapped)
+            mapped = mapped.reshape(size, 4 * n)
             assert np.max(np.abs(r_vec - ref_r)) <= 1e-13
             assert rn == pytest.approx(float(np.linalg.norm(ref_r)), abs=1e-13)
             assert e == pytest.approx(bc.energy(data, c), abs=1e-12)
@@ -277,7 +284,7 @@ def test_sweep_matches_independent_code(rng):
             assert scale == pytest.approx(ref_scale, abs=1e-12)
             x = random_ball_point(rng, n, rmax=0.9)
             step = bc._hua_rows(c, x.reshape(1, -1))[0].reshape(n, 4)
-            assert np.max(np.abs(step - mobius.hua_apply(phi, x))) <= 1e-13
+            assert np.max(np.abs(step - mobius.projective_apply(hua, x))) <= 1e-13
 
 
 
@@ -286,14 +293,22 @@ def test_sweep_is_independent_of_blas_threads():
     # n=1 set a sweep that took sum_i w_i log den2_i as one got an energy
     # one ulp apart under one and two BLAS threads, and energy() did too.
     # n=3 gives the kernel's GEMMs an inner dimension of 4n = 12.
+    # hua_apply runs the same kernel, and the geodesic-ball sampler runs it
+    # (through distance) from its worker threads.
     script = (
-        "import numpy as np; from qhb import barycenter as bc\n"
+        "import hashlib; import numpy as np\n"
+        "from qhb import barycenter as bc, mobius, regions\n"
         "from qhb.verify import random_weighted_points\n"
         "for n in (1, 3):\n"
         "    data = random_weighted_points(np.random.default_rng(2), n, 20000)\n"
         "    r, rn, e, gram, scale = bc._sweep(data, np.full((n, 4), 0.1))\n"
         "    print(e.hex(), rn.hex(), r.tobytes().hex(), gram.tobytes().hex(),\n"
         "          bc.energy(data, np.full((n, 4), 0.1)).hex())\n"
+        "mapped = mobius.hua_apply(mobius.hua_new(np.full((3, 4), 0.1)), data.points)\n"
+        "print(hashlib.sha256(mapped.tobytes()).hexdigest())\n"
+        "ss = regions.sample_region(regions.geodesic_ball([[0.3, 0.1, 0, 0]], 1.0), 4 * regions.CHUNK, 5)\n"
+        "print(ss.count_accepted, ss.total_mass_estimate.hex(),\n"
+        "      hashlib.sha256(ss.samples.points.tobytes()).hexdigest())\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(bc.__file__)))
     outs = set()

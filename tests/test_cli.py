@@ -91,6 +91,14 @@ def test_barycenter_reports_offending_index(capsys, tmp_path):
     assert code == 1
     assert "point 0" in err and "weight" in err
 
+    path = write_points(tmp_path, "badn.json", 2, [
+        {"coords": [[0.1, 0, 0, 0], [0, 0, 0, 0]]},
+        {"coords": [[0.1, 0, 0, 0]]},
+    ])
+    code, _, err = run(capsys, "barycenter", path)
+    assert code == 1
+    assert "DimensionMismatch" in err and "point 1" in err
+
 
 def test_point_within_boundary_margin_is_rejected(capsys, tmp_path):
     # |q| = 1 - 5e-13 lies in the open ball but not in |q| < 1 - 1e-12
@@ -206,7 +214,10 @@ def test_distance_command(capsys):
 def test_distance_dimension_mismatch(capsys):
     code, _, err = run(capsys, "distance", "[[0.1,0,0,0],[0,0,0,0]]", "0.5")
     assert code == 1
-    assert "dimension" in err
+    assert "DimensionMismatch" in err and "dimension" in err
+    code, _, err = run(capsys, "distance", "[[[0.1,0,0,0]]]", "0.5")
+    assert code == 1
+    assert "DimensionMismatch" in err and "cannot read a point" in err
 
 
 def test_energy_command_and_minimality(capsys, two_weighted_file):

@@ -6,7 +6,7 @@ from scipy.integrate import quad
 
 from qhb import geometry, mobius
 from qhb import quaternions as q
-from qhb.errors import DegenerateGeodesic, InvalidProfile, NotInBall
+from qhb.errors import DegenerateGeodesic, DimensionMismatch, InvalidProfile, NotInBall
 from qhb.verify import random_ball_point, random_ball_points, random_sp, random_unit_vector
 
 
@@ -51,6 +51,9 @@ def test_distance_rejects_outside_points():
             geometry.distance(x, y)
         with pytest.raises(NotInBall):
             geometry.cosh2_half_distance(x, y)
+    # p may be a batch, q_point is one point
+    with pytest.raises(DimensionMismatch):
+        geometry.distance(pt(0.0), np.zeros((2, 1, 4)))
 
 
 def test_triangle_inequality(rng):
@@ -160,6 +163,11 @@ def test_geodesic_endpoint_recovery(rng):
 def test_degenerate_geodesic():
     with pytest.raises(DegenerateGeodesic):
         geometry.geodesic_between(pt(0.3), pt(0.3))
+    batch = np.zeros((2, 1, 4))
+    with pytest.raises(DimensionMismatch):
+        geometry.geodesic_chart(batch, pt(1.0))
+    with pytest.raises(DimensionMismatch):
+        geometry.geodesic_between(pt(0.3), batch)
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +249,8 @@ def test_convexity_profile_validation():
         geometry.convexity_profile(pt(0.5), pt(0.1))  # direction not unit
     with pytest.raises(NotInBall):
         geometry.convexity_profile(pt(1.0), pt(math.nan))
+    with pytest.raises(DimensionMismatch):
+        geometry.convexity_profile(pt(1.0), np.zeros((2, 1, 4)))
 
 
 def test_quadratic_endpoint_value_via_fit():

@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from qhb import geometry, mobius
 from qhb import quaternions as q
-from qhb.errors import NotInBall, QhbError, Singular
+from qhb.errors import DimensionMismatch, NotInBall, QhbError, Singular
 from qhb.verify import random_ball_point, random_ball_points, random_sp
 
 
@@ -42,6 +43,9 @@ def test_hua_rejects_boundary():
         mobius.hua_new(pt(1.0))
     with pytest.raises(NotInBall):
         mobius.hua_new(pt(math.nan))
+    for batch in (np.zeros((1, 1, 4)), np.zeros((2, 1, 4))):
+        with pytest.raises(DimensionMismatch):
+            mobius.hua_new(batch)
 
 
 def test_hua_apply_swaps_origin_and_center(rng):
@@ -76,6 +80,53 @@ def test_hua_apply_boundary_allowed(rng):
         mobius.hua_apply(phi, v * 1.01)
     with pytest.raises(NotInBall):
         mobius.hua_apply(phi, v * math.nan)
+
+
+def _decimal_hua(u, z):
+    """Phi_u(z) from the defining formula (u - A_u z)(1 - <z,u>)^{-1},
+    A_u z = u <z,u>/(1+s) + s z, in 40-digit decimal arithmetic on the
+    exact values of the float inputs; one point z of H^n."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        dec = decimal.Decimal
+
+        def mul(a, b):
+            return [a[0] * b[0] - a[1] * b[1] - a[2] * b[2] - a[3] * b[3],
+                    a[0] * b[1] + a[1] * b[0] + a[2] * b[3] - a[3] * b[2],
+                    a[0] * b[2] - a[1] * b[3] + a[2] * b[0] + a[3] * b[1],
+                    a[0] * b[3] + a[1] * b[2] - a[2] * b[1] + a[3] * b[0]]
+
+        def conj(a):
+            return [a[0], -a[1], -a[2], -a[3]]
+
+        u = [[dec(float(x)) for x in row] for row in u]
+        z = [[dec(float(x)) for x in row] for row in z]
+        ip = [sum(col, dec(0)) for col in zip(*(mul(conj(uj), zj) for uj, zj in zip(u, z)))]
+        s = (1 - sum(x * x for row in u for x in row)).sqrt()
+        den = [1 - ip[0], -ip[1], -ip[2], -ip[3]]
+        den2 = sum(x * x for x in den)
+        dinv = [x / den2 for x in conj(den)]
+        out = []
+        for uj, zj in zip(u, z):
+            num = [a - b / (1 + s) - s * c for a, b, c in zip(uj, mul(uj, ip), zj)]
+            out.append([float(x) for x in mul(num, dinv)])
+        return np.array(out)
+
+
+def test_hua_apply_accuracy_against_decimal_reference(rng):
+    # the only test of absolute accuracy: every other Phi_c test checks an
+    # identity; |Phi_u(z)| <= 1, so the error is measured in units of eps
+    eps = float(np.finfo(float).eps)
+    worst = 0.0
+    for n in (1, 2, 4):
+        for rmax in (0.5, 0.9, 0.999):
+            for _ in range(10):
+                u = random_ball_point(rng, n, rmax)
+                z = random_ball_points(rng, n, 10, rmax)
+                got = mobius.hua_apply(mobius.hua_new(u), z)
+                ref = np.stack([_decimal_hua(u, zi) for zi in z])
+                worst = max(worst, float(np.max(q.vnorm(got - ref))))
+    assert worst <= 8.0 * eps
 
 
 def test_involution_round_trip(rng):

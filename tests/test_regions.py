@@ -7,7 +7,7 @@ from scipy.integrate import quad
 from qhb import barycenter as bc
 from qhb import geometry, mobius, regions
 from qhb import quaternions as q
-from qhb.errors import EmptyRegion, NonFinite, NotInBall, QhbError
+from qhb.errors import DimensionMismatch, EmptyRegion, NonFinite, NotInBall, QhbError
 
 E1 = np.array([[0.3, 0.0, 0.0, 0.0]])
 ORIGIN1 = np.zeros((1, 4))
@@ -20,6 +20,11 @@ def test_factory_validation():
         regions.geodesic_ball(np.array([[1.0, 0, 0, 0]]), 1.0)
     with pytest.raises(NotInBall):
         regions.euclidean_ball(np.array([[0.8, 0, 0, 0]]), 0.3)
+    for factory in (regions.geodesic_ball, regions.euclidean_ball):
+        with pytest.raises(DimensionMismatch):
+            factory([[0.1, 0, 0, 0]], 0.5, n=2)
+        with pytest.raises(DimensionMismatch):
+            factory(np.zeros((2, 1, 4)), 0.5)
     with pytest.raises(QhbError):
         regions.region_from_json({"kind": "cube", "center": [[0, 0, 0, 0]],
                                   "radius": 1.0, "dimension": 1})

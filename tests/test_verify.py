@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -27,15 +25,12 @@ def test_run_check_deterministic():
 
 
 def test_injected_sign_fault_breaks_involution(monkeypatch):
-    """Flipping a sign in A_u must make the involution suite fail; this
-    proves the harness actually measures the identity."""
-    true_hua_new = qhb.mobius.hua_new
-
-    def broken_hua_new(u):
-        phi = true_hua_new(u)
-        return dataclasses.replace(phi, au=-phi.au)
-
-    monkeypatch.setattr(qhb.mobius, "hua_new", broken_hua_new)
+    """Flipping one sign of the Hua kernel's product table must make the
+    involution suite fail; this proves the harness actually measures the
+    identity."""
+    broken = qhb.mobius._QMUL.copy()
+    broken[2, 3] = -broken[2, 3]  # j k = i becomes -i
+    monkeypatch.setattr(qhb.mobius, "_QMUL", broken)
     check = next(c for c in verify.CHECKS if c.name == "involution")
     result = verify.run_check(check, seed=0, trials=64)
     assert not result.passed
