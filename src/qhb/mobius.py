@@ -96,6 +96,11 @@ def _check_in_closed_ball(z: np.ndarray, n: int) -> np.ndarray:
 
 _E = np.eye(4)
 _QMUL = q.qmul(_E[:, None], _E[None, :])  # _QMUL[a, b] = e_a e_b, e = (1, i, j, k)
+# hua_apply runs the kernel on blocks of at most _BLOCK // n rows, so each
+# GEMM has 16 * _BLOCK multiply-adds, below the 4 * 65536 up to which
+# OpenBLAS stays on the calling thread: a threaded GEMM wakes worker threads
+# that spin on the other cores, and on a loaded machine each call waits.
+_BLOCK = 8192  # the solver's sweep passes its point set whole
 
 
 def _hua_rows(c: np.ndarray, flat: np.ndarray):
@@ -133,7 +138,11 @@ def _hua_rows(c: np.ndarray, flat: np.ndarray):
 def hua_apply(phi: HuaInvolution, z) -> np.ndarray:
     """Evaluate Phi_u(z); z may be a batch (..., n, 4), |z| <= 1 allowed."""
     z = _check_in_closed_ball(np.asarray(z, dtype=float), phi.n)
-    return _hua_rows(phi.u, z.reshape(-1, 4 * phi.n))[0].reshape(z.shape)
+    flat = z.reshape(-1, 4 * phi.n)
+    m = flat.shape[0]
+    k = max(1, -(-m // (_BLOCK // phi.n)))  # k blocks of equal size
+    return np.concatenate([_hua_rows(phi.u, flat[m * i // k:m * (i + 1) // k])[0]
+                           for i in range(k)]).reshape(z.shape)
 
 
 def hua_fixed_point(phi: HuaInvolution) -> np.ndarray:
@@ -190,18 +199,6 @@ def sp_defect(m: np.ndarray) -> float:
     j = q.identity_matrix(m.shape[0])
     j[-1, -1, 0] = -1.0
     return float(np.max(np.abs(q.mat_mul(q.mat_conj_transpose(m), jm) - j)))
-
-
-def sp_from_blocks(a_block, alpha, beta, a) -> SpMatrix:
-    """Assemble [[A, alpha], [beta, a]]; rejects matrices outside Sp(n,1)."""
-    a_block = np.asarray(a_block, dtype=float)
-    n = a_block.shape[0]
-    m = np.zeros((n + 1, n + 1, 4))
-    m[:n, :n] = a_block
-    m[:n, n] = np.asarray(alpha, dtype=float)
-    m[n, :n] = np.asarray(beta, dtype=float)
-    m[n, n] = np.asarray(a, dtype=float)
-    return SpMatrix(matrix=m)
 
 
 def hua_matrix_array(phi: HuaInvolution) -> np.ndarray:
@@ -304,6 +301,10 @@ def sp_to_json(g: SpMatrix) -> dict:
 def sp_from_json(obj: dict) -> SpMatrix:
     """Parse {"A":..., "alpha":..., "beta":..., "a":...}; rejects non-members."""
     try:
-        return sp_from_blocks(obj["A"], obj["alpha"], obj["beta"], obj["a"])
+        blocks = [np.asarray(obj[k], dtype=float) for k in ("A", "alpha", "beta", "a")]
     except KeyError as exc:
         raise QhbError(f"missing field {exc} in Sp matrix") from None
+    n = blocks[0].shape[0]
+    m = np.zeros((n + 1, n + 1, 4))
+    m[:n, :n], m[:n, n], m[n, :n], m[n, n] = blocks
+    return SpMatrix(matrix=m)

@@ -258,11 +258,13 @@ def test_sp_relations(rng):
 
 
 def test_consistency_matrix_vs_closed_form(rng):
+    # 20000 points span several of the blocks hua_apply runs the kernel on
     for n in (1, 2):
         phi = mobius.hua_new(random_ball_point(rng, n))
         g = mobius.hua_matrix(phi)
-        z = random_ball_points(rng, n, 8)
-        assert np.allclose(mobius.sp_apply(g, z), mobius.hua_apply(phi, z), atol=1e-12)
+        for size in (8, 20000):
+            z = random_ball_points(rng, n, size)
+            assert np.allclose(mobius.sp_apply(g, z), mobius.hua_apply(phi, z), atol=1e-12)
 
 
 def test_au_closed_form_inverse(rng):
