@@ -41,6 +41,7 @@ COMMANDS = (
         ["region-barycenter", "geodesic_ball_n2.json", "--samples", "1048576", "--seed", "3"],
         ["region-barycenter", "euclidean_ball_n1.json", "--samples", "200000", "--seed", "3"],
         ["verify", "--seed", "0", "--trials", "2000"],
+        ["verify", "--seed", "3", "--trials", "2000"],
     ]
 )
 

@@ -47,7 +47,6 @@ from .mobius import (
     sp_apply,
     sp_from_json,
     sp_inverse,
-    sp_mul,
     sp_to_json,
 )
 from .quaternions import inner, mat_apply, qinv, qmul

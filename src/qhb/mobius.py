@@ -38,9 +38,8 @@ SP_CHECK_TOL = 1e-9
 class HuaInvolution:
     """The involution Phi_u; immutable, safe to share across threads."""
 
-    u: np.ndarray   # (n, 4)
-    s: float        # sqrt(1 - |u|^2)
-    au: np.ndarray  # (n, n, 4), Hermitian, A_u u = u, A_u v = s v for v perp u
+    u: np.ndarray  # (n, 4)
+    s: float       # sqrt(1 - |u|^2)
 
     @property
     def n(self) -> int:
@@ -64,14 +63,10 @@ def ball_points(z, n: int | None = None) -> np.ndarray:
 
 
 def hua_new(u) -> HuaInvolution:
-    """Construct Phi_u for one point u, |u| < 1; u=0 gives s=1, A=I."""
-    u = ball_points(q.hvector(u))
-    s = float(np.sqrt(1.0 - q.vnorm2(u)))
-    au = q.outer(u, u) / (1.0 + s) + s * q.identity_matrix(u.shape[0])
-    u = u.copy()
+    """Construct Phi_u for one point u, |u| < 1; u=0 gives s=1."""
+    u = ball_points(q.hvector(u)).copy()
     u.flags.writeable = False
-    au.flags.writeable = False
-    return HuaInvolution(u=u, s=s, au=au)
+    return HuaInvolution(u=u, s=float(np.sqrt(1.0 - q.vnorm2(u))))
 
 
 def _check_in_closed_ball(z: np.ndarray, n: int) -> np.ndarray:
@@ -203,10 +198,13 @@ def sp_defect(m: np.ndarray) -> float:
 
 def hua_matrix_array(phi: HuaInvolution) -> np.ndarray:
     """The matrix (1/s)[[-A_u, u], [-u*, 1]] of Phi_u as a bare
-    (n+1, n+1, 4) array, not checked for membership in Sp(n,1)."""
+    (n+1, n+1, 4) array, not checked for membership in Sp(n,1).  The only
+    code that forms A_u = uu*/(1+s) + s I: Hermitian, A_u u = u and
+    A_u v = s v for v perpendicular to u."""
     n = phi.n
+    au = q.outer(phi.u, phi.u) / (1.0 + phi.s) + phi.s * q.identity_matrix(n)
     m = np.zeros((n + 1, n + 1, 4))
-    m[:n, :n] = -phi.au / phi.s
+    m[:n, :n] = -au / phi.s
     m[:n, n] = phi.u / phi.s
     m[n, :n] = -q.qconj(phi.u) / phi.s
     m[n, n] = q.ONE / phi.s
@@ -244,8 +242,12 @@ def sp_inverse(g: SpMatrix) -> SpMatrix:
     return SpMatrix(matrix=minv)
 
 
-def sp_mul(g: SpMatrix, h: SpMatrix) -> SpMatrix:
-    return SpMatrix(matrix=q.mat_mul(g.matrix, h.matrix))
+def _intertwine_product(g: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """hua(g(c)) . g . hua(c) for a bare (n+1, n+1, 4) array g and a point
+    c (n, 4); g is not checked, and hua_new checks c and g(c)."""
+    gc = projective_apply(g, c)
+    return q.mat_mul(q.mat_mul(hua_matrix_array(hua_new(gc)), g),
+                     hua_matrix_array(hua_new(c)))
 
 
 def intertwine_factor(g: SpMatrix, c, tol: float = 1e-10) -> SpMatrix:
@@ -255,10 +257,7 @@ def intertwine_factor(g: SpMatrix, c, tol: float = 1e-10) -> SpMatrix:
     A-block in Sp(n) and |a| = 1; the (verified small) off-diagonal
     blocks are zeroed so callers can rely on exact block-diagonal form.
     """
-    c = q.hvector(c)
-    gc = sp_apply(g, c)
-    u = sp_mul(sp_mul(hua_matrix(hua_new(gc)), g), hua_matrix(hua_new(c)))
-    m = u.matrix.copy()
+    m = _intertwine_product(g.matrix, ball_points(q.hvector(c), g.n))
     off = max(float(np.max(np.abs(m[:-1, -1]))), float(np.max(np.abs(m[-1, :-1]))))
     if off > tol:
         raise QhbError(f"intertwining factor has off-diagonal blocks of size {off:.3g}")
@@ -266,7 +265,7 @@ def intertwine_factor(g: SpMatrix, c, tol: float = 1e-10) -> SpMatrix:
     m[-1, :-1] = 0.0
     a_block = m[:-1, :-1]
     aat = q.mat_mul(a_block, q.mat_conj_transpose(a_block))
-    unitary_err = float(np.max(np.abs(aat - q.identity_matrix(u.n))))
+    unitary_err = float(np.max(np.abs(aat - q.identity_matrix(g.n))))
     a_err = abs(float(q.qnorm(m[-1, -1])) - 1.0)
     if unitary_err > tol or a_err > tol:
         raise QhbError("intertwining factor is not a linear isometry")

@@ -99,6 +99,8 @@ def indicator_region(membership: Callable, n: int, box=None) -> RegionSpec:
     else:
         lo = np.asarray(box[0], dtype=float)
         hi = np.asarray(box[1], dtype=float)
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        raise NonFinite("box bounds must be finite")
     if lo.shape != (4 * n,) or hi.shape != (4 * n,) or np.any(hi <= lo):
         raise QhbError("box must be a pair of (4n,) arrays with hi > lo")
     return RegionSpec(kind=INDICATOR, n=n, membership=membership, box_lo=lo, box_hi=hi)
@@ -109,7 +111,11 @@ def _contains(spec: RegionSpec, pts: np.ndarray) -> np.ndarray:
         return geometry.distance(pts, spec.center) < spec.radius
     if spec.kind == EUCLIDEAN_BALL:
         return q.vnorm2(pts - spec.center) < spec.radius ** 2
-    return np.asarray(spec.membership(pts), dtype=bool)
+    mask = np.asarray(spec.membership(pts), dtype=bool)
+    if mask.shape != pts.shape[:1]:
+        raise QhbError(f"membership callback returned shape {mask.shape}, "
+                       f"expected ({pts.shape[0]},)")
+    return mask
 
 
 def region_to_json(spec: RegionSpec) -> dict:
@@ -170,7 +176,10 @@ def _worker_threads() -> int:
 
 def _sample_chunk(spec: RegionSpec, seed: int, index: int, size: int) -> np.ndarray:
     rng = np.random.Generator(np.random.Philox(key=[seed, index]))
-    flat = rng.uniform(spec.box_lo, spec.box_hi, size=(size, 4 * spec.n))
+    # the same draws as rng.uniform(box_lo, box_hi), without its broadcasting
+    flat = rng.random((size, 4 * spec.n))
+    flat *= spec.box_hi - spec.box_lo
+    flat += spec.box_lo
     pts = flat.reshape(size, spec.n, 4)
     keep = q.vnorm2(pts) < MAX_NORM2
     pts = pts[keep]
@@ -201,27 +210,27 @@ def sample_region(spec: RegionSpec, count: int, seed: int) -> SampleSet:
     box_volume = float(np.prod(spec.box_hi - spec.box_lo))
     vals = geometry.measure_density(accepted) * box_volume  # per-proposal mass values
     mass = float(np.sum(vals)) / count
-    mass_se = _mc_se(vals, mass, count)
     dist0 = 2.0 * np.arctanh(q.vnorm(accepted))
     mom_vals = vals * dist0
     moment = float(np.sum(mom_vals)) / count
-    moment_se = _mc_se(mom_vals, moment, count)
 
     samples = WeightedPoints(points=accepted, weights=vals / count)
     return SampleSet(
         samples=samples, seed=seed, count_requested=count,
         count_accepted=accepted.shape[0], total_mass_estimate=mass,
-        moment_estimate=moment, standard_error=mass_se,
-        moment_standard_error=moment_se, box_volume=box_volume,
+        moment_estimate=moment, standard_error=_mc_se(vals, count),
+        moment_standard_error=_mc_se(mom_vals, count), box_volume=box_volume,
     )
 
 
-def _mc_se(nonzero_vals: np.ndarray, mean: float, count: int) -> float:
+def _mc_se(nonzero_vals: np.ndarray, count: int) -> float:
     """Standard error of a mean over `count` proposals whose only nonzero
-    values are `nonzero_vals` (rejected proposals contribute zero)."""
-    second = float(np.sum(nonzero_vals ** 2)) / count
-    var = max(second - mean * mean, 0.0)
-    return float(np.sqrt(var / count))
+    values are `nonzero_vals` (rejected proposals contribute zero), shape
+    (M, ...); for vector values, the root of the summed variances of the
+    trailing components."""
+    mean = np.sum(nonzero_vals, axis=0) / count
+    second = np.sum(nonzero_vals * nonzero_vals, axis=0) / count
+    return float(np.sqrt(np.sum(np.maximum(second - mean * mean, 0.0) / count)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,9 +251,5 @@ def region_barycenter(spec: RegionSpec, count: int, seed: int,
     phi = mobius.hua_new(res.barycenter)
     mapped = mobius.hua_apply(phi, ss.samples.points)
     y = (ss.samples.weights * count)[:, None, None] * mapped  # per-proposal residual terms
-    mean = np.sum(y, axis=0) / count
-    second = np.sum(y * y, axis=0) / count
-    var = np.maximum(second - mean * mean, 0.0)
-    se_residual = float(np.sqrt(np.sum(var / count)))
-    bary_se = se_residual / ss.total_mass_estimate
+    bary_se = _mc_se(y, count) / ss.total_mass_estimate
     return RegionResult(result=res, sample_set=ss, barycenter_standard_error=bary_se)

@@ -28,6 +28,15 @@ def test_factory_validation():
     with pytest.raises(QhbError):
         regions.region_from_json({"kind": "cube", "center": [[0, 0, 0, 0]],
                                   "radius": 1.0, "dimension": 1})
+    for bad in (math.nan, math.inf):
+        box = (np.full(4, -0.5), np.full(4, 0.5))
+        box[1][2] = bad
+        with pytest.raises(NonFinite):
+            regions.indicator_region(lambda p: np.ones(len(p), bool), 1, box=box)
+    for n in (1, 2):
+        column = regions.indicator_region(lambda p: np.ones((len(p), 1), bool), n)
+        with pytest.raises(QhbError, match=r"returned shape \(\d+, 1\)"):
+            regions.sample_region(column, 1000, seed=0)
 
 
 @pytest.mark.parametrize("factory", [regions.geodesic_ball, regions.euclidean_ball])

@@ -56,10 +56,63 @@ def test_injected_qmul_sign_fault_breaks_associativity(monkeypatch):
     assert result.max_error > 1e6
 
 
-def test_injected_fault_does_not_leak(rng):
+def test_injected_fault_does_not_leak():
     # after the monkeypatch test the real implementation is intact
-    err = verify.check_involution(np.random.default_rng(0), 64)
-    assert err <= 1e-12
+    check = next(c for c in verify.CHECKS if c.name == "involution")
+    assert verify.run_check(check, seed=0, trials=64).max_error <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["au_inverse", "action_consistency", "intertwine_offdiag"])
+def test_injected_hua_matrix_fault_is_caught(monkeypatch, name):
+    """A Hua matrix whose A_u lost its 1/(1+s) must fail every check that
+    reads the matrix."""
+    true_hua_matrix_array = qhb.mobius.hua_matrix_array
+
+    def broken(phi):
+        m = true_hua_matrix_array(phi)
+        au = qhb.quaternions.outer(phi.u, phi.u) + phi.s * qhb.quaternions.identity_matrix(phi.n)
+        m[:phi.n, :phi.n] = -au / phi.s
+        return m
+
+    monkeypatch.setattr(qhb.mobius, "hua_matrix_array", broken)
+    check = next(c for c in verify.CHECKS if c.name == name)
+    result = verify.run_check(check, seed=0, trials=64)
+    assert not result.passed
+    assert result.max_error > 1e-3
+
+
+def _run_fake(fn):
+    return verify.run_check(verify.Check("fake", 0.0, fn), seed=0, trials=10)
+
+
+def test_run_check_reports_negative_maximum():
+    def negative(rng, trials):
+        yield np.array([-3.0, -1.5])
+        yield -2.0
+
+    result = _run_fake(negative)
+    assert result.max_error == -1.5
+    assert result.passed
+
+
+def test_run_check_with_no_errors_reports_zero():
+    def empty(rng, trials):
+        yield from ()
+
+    result = _run_fake(empty)
+    assert result.max_error == 0.0
+    assert result.passed
+
+
+def test_run_check_reports_a_raising_check():
+    def raising(rng, trials):
+        yield np.zeros(3)
+        raise ValueError("identity broke")
+
+    result = _run_fake(raising)
+    assert result.max_error == float("inf")
+    assert not result.passed
+    assert result.note == "ValueError: identity broke"
 
 
 def test_random_sp_is_member(rng):
