@@ -1,20 +1,24 @@
-"""Print the stdout and exit code of a fixed list of qhb CLI commands.
+"""Print the stdout, first stderr line and exit code of a fixed list of
+qhb CLI commands.
 
 Usage:
 
     python scripts/cli_snapshot.py SRC_DIR
 
 Each command runs as `python -m qhb.cli ...` with PYTHONPATH=SRC_DIR, in
-scripts/fixtures/, on the point set and region files kept there.  The
-output names every command, then its stdout and its exit code, and holds
-no path, so the CLI output of two source trees (say, a checkout of the
-parent commit and the working tree) is compared with one diff:
+scripts/fixtures/, on the point set and region files kept there (two of
+them malformed on purpose).  The output names every command, then its
+stdout, the first line of its stderr and its exit code, and holds no path,
+so the CLI output of two source trees (say, a checkout of the parent
+commit and the working tree) is compared with one diff:
 
     python scripts/cli_snapshot.py ../parent/src > before.txt
     python scripts/cli_snapshot.py src > after.txt
     diff before.txt after.txt
 
-stderr is not captured in the output.
+A command that dies with a Python traceback shows its first line,
+"Traceback (most recent call last):", where a handled error shows
+"error: <Class>: ...".
 """
 
 from __future__ import annotations
@@ -40,6 +44,8 @@ COMMANDS = (
         ["volume", "--rho", "0.7", "--dim", "3"],
         ["region-barycenter", "geodesic_ball_n2.json", "--samples", "1048576", "--seed", "3"],
         ["region-barycenter", "euclidean_ball_n1.json", "--samples", "200000", "--seed", "3"],
+        ["barycenter", "null_weight.json"],
+        ["region-barycenter", "null_radius.json", "--samples", "1000"],
         ["verify", "--seed", "0", "--trials", "2000"],
         ["verify", "--seed", "3", "--trials", "2000"],
     ]
@@ -56,6 +62,7 @@ def main(argv: list[str]) -> int:
                               env=env, capture_output=True, text=True)
         print(f"$ qhb {shlex.join(cmd)}")
         sys.stdout.write(proc.stdout)
+        print("stderr: " + proc.stderr.partition("\n")[0])
         print(f"exit code {proc.returncode}\n")
     return 0
 

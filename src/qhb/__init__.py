@@ -45,9 +45,7 @@ from .mobius import (
     intertwine_factor,
     jacobian_det,
     sp_apply,
-    sp_from_json,
     sp_inverse,
-    sp_to_json,
 )
 from .quaternions import inner, mat_apply, qinv, qmul
 from .regions import (
@@ -58,8 +56,6 @@ from .regions import (
     geodesic_ball,
     indicator_region,
     region_barycenter,
-    region_from_json,
-    region_to_json,
     sample_region,
 )
 

@@ -41,7 +41,7 @@ import numpy as np
 
 from . import mobius
 from . import quaternions as q
-from .errors import EmptyData, NonFinite, NotInBall, QhbError
+from .errors import DimensionMismatch, EmptyData, NonFinite, NotInBall, QhbError
 from .mobius import _QMUL, _hua_rows
 
 # line search gives up once eta underflows; the iterate cannot improve
@@ -64,6 +64,8 @@ class WeightedPoints:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 3 or pts.shape[-1] != 4 or pts.shape[0] == 0:
             raise EmptyData(f"expected a nonempty (N, n, 4) point array, got {pts.shape}")
+        if pts.shape[1] < 1:
+            raise DimensionMismatch("points of dimension 0")
         wts = np.asarray(self.weights, dtype=float)
         if wts.shape != (pts.shape[0],):
             raise QhbError(f"{pts.shape[0]} points but {wts.shape} weights")

@@ -1,8 +1,12 @@
-"""Command-line interface.
+"""Command-line interface, and the one module that reads and writes JSON.
 
 Subcommands: barycenter, region-barycenter, volume, distance, energy,
 verify.  All I/O is JSON with round-trip-safe number formatting; exit
 codes are 0 (success), 1 (bad input), 2 (solver did not converge).
+
+JSON wire format: a quaternion is the array [w, x, y, z]; a vector in
+H^n is an array of n such arrays.  Every field is read through _field,
+so a missing or malformed one raises a QhbError that names it.
 """
 
 from __future__ import annotations
@@ -14,61 +18,108 @@ import sys
 
 import numpy as np
 
-from . import barycenter, geometry, regions, verify
-from . import quaternions as q
+from . import barycenter, geometry, mobius, regions, verify
 from .errors import DimensionMismatch, NonFinite, QhbError
+
+_REGION_FACTORIES = {regions.GEODESIC_BALL: regions.geodesic_ball,
+                     regions.EUCLIDEAN_BALL: regions.euclidean_ball}
+
+
+def _field(obj, key, conv, where: str):
+    """conv(obj[key]), with a missing or malformed field raised as a
+    QhbError naming where and key."""
+    try:
+        return conv(obj[key])
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise QhbError(f"{where}: missing or malformed {key!r} ({exc})") from None
+
+
+def _dimension(v) -> int:
+    if type(v) is not int or v < 1:
+        raise ValueError(f"expected an integer >= 1, got {v!r}")
+    return v
+
+
+def _hvector(obj, n: int | None, where: str) -> np.ndarray:
+    """A vector in H^n, an array of n [w,x,y,z] arrays, as an (n, 4)
+    array; n=None takes any n >= 1."""
+    z = np.asarray(obj, dtype=float)
+    if z.ndim != 2 or z.shape[1] != 4 or z.shape[0] < 1:
+        raise DimensionMismatch(f"{where}: cannot read a point from an array of shape {z.shape}")
+    if n is not None and z.shape[0] != n:
+        raise DimensionMismatch(f"{where}: has dimension {z.shape[0]}, expected {n}")
+    return z
+
+
+def to_lists(z) -> list:
+    """Nested-list form of a quaternion array (JSON-ready)."""
+    return np.asarray(z, dtype=float).tolist()
 
 
 def load_point_set(path: str) -> barycenter.WeightedPoints:
     """Read {"dimension": n, "points": [{"coords": [[w,x,y,z],...], "weight": w}]}.
 
-    Weights default to 1.0.  This parses the structure, shapes and
-    dimension; WeightedPoints checks the values (finite coordinates and
-    weights, |coords| < 1 - 1e-12, positive weights).  Errors name the
-    offending index.
+    Weights default to 1.0.  This reads the structure, shapes and
+    dimension; WeightedPoints checks the values.  Errors name the index.
     """
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
-    try:
-        n = int(obj["dimension"])
-        entries = obj["points"]
-    except (KeyError, TypeError) as exc:
-        raise QhbError(f"point set file needs 'dimension' and 'points': {exc}") from None
-    if n < 1:
-        raise QhbError(f"dimension must be >= 1, got {n}")
+    n = _field(obj, "dimension", _dimension, "point set")
+    entries = _field(obj, "points", list, "point set")
     if not entries:
         raise barycenter.EmptyData("no points in input")
-    pts = np.zeros((len(entries), n, 4))
-    wts = np.zeros(len(entries))
+    pts, wts = [], []
     for i, entry in enumerate(entries):
-        try:
-            coords = q.hvector_from_json(entry["coords"])
-        except (KeyError, TypeError) as exc:
-            raise QhbError(f"point {i}: missing or malformed coords ({exc})") from None
-        if coords.shape[0] != n:
-            raise DimensionMismatch(f"point {i}: has dimension {coords.shape[0]}, expected {n}")
-        pts[i] = coords
-        wts[i] = float(entry.get("weight", 1.0))
-    return barycenter.WeightedPoints(points=pts, weights=wts)
+        where = f"point {i}"
+        pts.append(_field(entry, "coords", lambda c: _hvector(c, n, where), where))
+        # entry is a JSON object once its coords are read
+        wts.append(_field(entry, "weight", float, where) if "weight" in entry else 1.0)
+    return barycenter.WeightedPoints(points=np.array(pts), weights=np.array(wts))
 
 
 def parse_point(text: str, n: int | None = None) -> np.ndarray:
     """Parse a point: a number (real quaternion, n=1), a [w,x,y,z] array
     (n=1), or an array of such arrays."""
+    where = f"point {text!r}"
     v = json.loads(text)
     if isinstance(v, (int, float)):
-        arr = np.array([[float(v), 0.0, 0.0, 0.0]])
-    else:
-        arr = np.asarray(v, dtype=float)
-        if arr.ndim == 1 and arr.shape == (4,):
-            arr = arr[None, :]
-        elif arr.ndim != 2 or arr.shape[-1] != 4:
-            raise DimensionMismatch(f"cannot read a point from {text!r}")
-    if n is not None and arr.shape[0] != n:
-        raise DimensionMismatch(f"point has dimension {arr.shape[0]}, expected {n}")
+        v = [v, 0.0, 0.0, 0.0]
+    arr = _field({"point": v}, "point", lambda p: _hvector(np.atleast_2d(p), n, where), where)
     if not np.all(np.isfinite(arr)):
-        raise NonFinite(f"point {text!r} is not finite")
+        raise NonFinite(f"{where} is not finite")
     return arr
+
+
+def region_to_json(spec: regions.RegionSpec) -> dict:
+    if spec.kind == regions.INDICATOR:
+        raise QhbError("indicator regions are in-process only and cannot be serialized")
+    return {"kind": spec.kind, "center": to_lists(spec.center),
+            "radius": spec.radius, "dimension": spec.n}
+
+
+def region_from_json(obj) -> regions.RegionSpec:
+    """Read {"kind": ..., "center": [[w,x,y,z],...], "radius": r, "dimension": n}."""
+    n = _field(obj, "dimension", _dimension, "region")
+    center = _field(obj, "center", lambda c: _hvector(c, n, "region center"), "region")
+    radius = _field(obj, "radius", float, "region")
+    return _field(obj, "kind", _REGION_FACTORIES.__getitem__, "region")(center, radius)
+
+
+def sp_to_json(g: mobius.SpMatrix) -> dict:
+    m = g.matrix
+    return {"A": to_lists(m[:-1, :-1]), "alpha": to_lists(m[:-1, -1]),
+            "beta": to_lists(m[-1, :-1]), "a": to_lists(m[-1, -1])}
+
+
+def sp_from_json(obj) -> mobius.SpMatrix:
+    """Read {"A":..., "alpha":..., "beta":..., "a":...}; rejects non-members."""
+    n = _field(obj, "A", lambda v: _dimension(len(v)), "Sp matrix")
+    m = np.zeros((n + 1, n + 1, 4))
+    m[:n, :n] = _field(obj, "A", lambda v: [_hvector(r, n, "Sp matrix A") for r in v], "Sp matrix")
+    m[:n, n] = _field(obj, "alpha", lambda v: _hvector(v, n, "Sp matrix alpha"), "Sp matrix")
+    m[n, :n] = _field(obj, "beta", lambda v: _hvector(v, n, "Sp matrix beta"), "Sp matrix")
+    m[n, n] = _field(obj, "a", lambda v: _hvector([v], 1, "Sp matrix a")[0], "Sp matrix")
+    return mobius.SpMatrix(matrix=m)
 
 
 def _solver_config(args) -> barycenter.SolverConfig:
@@ -80,7 +131,7 @@ def _solver_config(args) -> barycenter.SolverConfig:
 
 def _result_fields(res: barycenter.SolverResult) -> dict:
     return {
-        "barycenter": q.to_lists(res.barycenter),
+        "barycenter": to_lists(res.barycenter),
         "residual_norm": res.residual_norm,
         "energy": res.energy,
         "iterations": res.iterations,
@@ -107,7 +158,7 @@ def cmd_region_barycenter(args) -> int:
     if args.samples < 1:
         raise QhbError("--samples must be >= 1")
     with open(args.region, encoding="utf-8") as fh:
-        spec = regions.region_from_json(json.load(fh))
+        spec = region_from_json(json.load(fh))
     cfg = _solver_config(args)
     rr = regions.region_barycenter(spec, args.samples, args.seed, cfg)
     ss = rr.sample_set

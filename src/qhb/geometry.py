@@ -13,7 +13,7 @@ import numpy as np
 
 from . import mobius
 from . import quaternions as q
-from .errors import DegenerateGeodesic, InvalidProfile
+from .errors import DegenerateGeodesic, InvalidProfile, NonFinite
 
 # below this separation two points are considered coincident for geodesics
 _COINCIDENT = 1e-15
@@ -110,6 +110,8 @@ def ball_volume(rho, n: int) -> np.ndarray:
     if n < 1:
         raise ValueError("dimension must be >= 1")
     rho = np.asarray(rho, dtype=float)
+    if not np.all(np.isfinite(rho)):
+        raise NonFinite("radius must be finite")
     if np.any(rho < 0.0):
         raise ValueError("radius must be >= 0")
     half = rho / 2.0

@@ -32,6 +32,8 @@ from .errors import DimensionMismatch, NotInBall, QhbError, Singular
 _BALL_SLACK = 1e-12
 # M* J M = J must hold to this accuracy for a matrix to be accepted
 SP_CHECK_TOL = 1e-9
+# intertwine_factor's off-diagonal blocks and isometry defects stay below this
+_INTERTWINE_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,12 +52,13 @@ def ball_points(z, n: int | None = None) -> np.ndarray:
     """z as points of the open unit ball, shape (..., n, 4); a lone
     quaternion (4,) is a point of H^1.  The one open-ball check: every
     function taking points except hua_apply calls it.  Raises
-    DimensionMismatch for a wrong shape, or a dimension other than a given
-    n, and NotInBall unless |z| < 1, NaN included."""
+    DimensionMismatch for a wrong shape, dimension 0, or a dimension other
+    than a given n, and NotInBall unless |z| < 1, NaN included."""
     z = np.asarray(z, dtype=float)
     if z.shape == (4,):
         z = z[None, :]
-    if z.ndim < 2 or z.shape[-1] != 4 or (n is not None and z.shape[-2] != n):
+    if (z.ndim < 2 or z.shape[-1] != 4 or z.shape[-2] < 1
+            or (n is not None and z.shape[-2] != n)):
         raise DimensionMismatch(f"expected points in H^{n or 'n'}, got shape {z.shape}")
     if not (q.vnorm2(z) < 1.0).all():
         raise NotInBall("point outside the open unit ball")
@@ -170,22 +173,6 @@ class SpMatrix:
     def n(self) -> int:
         return self.matrix.shape[0] - 1
 
-    @property
-    def a_block(self) -> np.ndarray:
-        return self.matrix[:-1, :-1]
-
-    @property
-    def alpha(self) -> np.ndarray:
-        return self.matrix[:-1, -1]
-
-    @property
-    def beta(self) -> np.ndarray:
-        return self.matrix[-1, :-1]
-
-    @property
-    def a(self) -> np.ndarray:
-        return self.matrix[-1, -1]
-
 
 def sp_defect(m: np.ndarray) -> float:
     """Max entrywise deviation of M* J M from J, J = diag(I_n, -1)."""
@@ -250,7 +237,7 @@ def _intertwine_product(g: np.ndarray, c: np.ndarray) -> np.ndarray:
                      hua_matrix_array(hua_new(c)))
 
 
-def intertwine_factor(g: SpMatrix, c, tol: float = 1e-10) -> SpMatrix:
+def intertwine_factor(g: SpMatrix, c) -> SpMatrix:
     """The linear isometry U with Phi_{g(c)} o g = U o Phi_c.
 
     U = hua_matrix(g(c)) . g . hua_matrix(c) is block diagonal with
@@ -259,7 +246,7 @@ def intertwine_factor(g: SpMatrix, c, tol: float = 1e-10) -> SpMatrix:
     """
     m = _intertwine_product(g.matrix, ball_points(q.hvector(c), g.n))
     off = max(float(np.max(np.abs(m[:-1, -1]))), float(np.max(np.abs(m[-1, :-1]))))
-    if off > tol:
+    if off > _INTERTWINE_TOL:
         raise QhbError(f"intertwining factor has off-diagonal blocks of size {off:.3g}")
     m[:-1, -1] = 0.0
     m[-1, :-1] = 0.0
@@ -267,7 +254,7 @@ def intertwine_factor(g: SpMatrix, c, tol: float = 1e-10) -> SpMatrix:
     aat = q.mat_mul(a_block, q.mat_conj_transpose(a_block))
     unitary_err = float(np.max(np.abs(aat - q.identity_matrix(g.n))))
     a_err = abs(float(q.qnorm(m[-1, -1])) - 1.0)
-    if unitary_err > tol or a_err > tol:
+    if unitary_err > _INTERTWINE_TOL or a_err > _INTERTWINE_TOL:
         raise QhbError("intertwining factor is not a linear isometry")
     return SpMatrix(matrix=m)
 
@@ -282,28 +269,3 @@ def jacobian_det(phi: HuaInvolution, z) -> np.ndarray:
     z = ball_points(z, phi.n)
     den2 = q.qnorm2(q.ONE - q.inner(z, phi.u))
     return (phi.s ** 2 / den2) ** (2 * phi.n + 2)
-
-
-# ---------------------------------------------------------------------------
-# JSON wire format
-
-
-def sp_to_json(g: SpMatrix) -> dict:
-    return {
-        "A": q.to_lists(g.a_block),
-        "alpha": q.to_lists(g.alpha),
-        "beta": q.to_lists(g.beta),
-        "a": q.to_lists(g.a),
-    }
-
-
-def sp_from_json(obj: dict) -> SpMatrix:
-    """Parse {"A":..., "alpha":..., "beta":..., "a":...}; rejects non-members."""
-    try:
-        blocks = [np.asarray(obj[k], dtype=float) for k in ("A", "alpha", "beta", "a")]
-    except KeyError as exc:
-        raise QhbError(f"missing field {exc} in Sp matrix") from None
-    n = blocks[0].shape[0]
-    m = np.zeros((n + 1, n + 1, 4))
-    m[:n, :n], m[:n, n], m[n, :n], m[n, n] = blocks
-    return SpMatrix(matrix=m)

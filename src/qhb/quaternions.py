@@ -10,9 +10,6 @@ Conventions, fixed once for the whole package and all file formats:
   on the left (``mat_apply``).
 * The Hermitian product is  <z, w> = sum_i conj(w_i) z_i,  linear in the
   first slot, conjugate-linear in the second.
-
-JSON wire format: a quaternion is the array [w, x, y, z]; a vector in
-H^n is an array of n such arrays.
 """
 
 from __future__ import annotations
@@ -168,19 +165,3 @@ def outer(u, v) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     return qmul(u[:, None, :], qconj(v)[None, :, :])
-
-
-# ---------------------------------------------------------------------------
-# JSON helpers
-
-
-def to_lists(z) -> list:
-    """Nested-list form of a quaternion array (JSON-ready)."""
-    return np.asarray(z, dtype=float).tolist()
-
-
-def hvector_from_json(obj) -> np.ndarray:
-    z = np.asarray(obj, dtype=float)
-    if z.ndim != 2 or z.shape[1] != 4:
-        raise DimensionMismatch(f"a vector is an array of [w,x,y,z] arrays, got shape {z.shape}")
-    return z

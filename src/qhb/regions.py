@@ -51,22 +51,20 @@ class RegionSpec:
     box_hi: Optional[np.ndarray] = None
 
 
-def _ball_center(center, radius: float, n: Optional[int]) -> np.ndarray:
+def _ball_center(center, radius: float) -> np.ndarray:
     """The center of a ball region as an (n, 4) array, after checking the
-    dimension, finiteness and a positive radius."""
+    shape, finiteness, a positive radius and the open ball."""
     center = q.hvector(center)
-    if n is not None and center.shape[0] != n:
-        raise DimensionMismatch(f"center has dimension {center.shape[0]}, expected {n}")
     if not (np.all(np.isfinite(center)) and math.isfinite(radius)):
         raise NonFinite("center and radius must be finite")
     if radius <= 0.0:
         raise QhbError("radius must be positive")
-    return center
+    return mobius.ball_points(center)
 
 
-def geodesic_ball(center, radius: float, n: Optional[int] = None) -> RegionSpec:
+def geodesic_ball(center, radius: float) -> RegionSpec:
     """Metric ball B(center, radius); always inside the open unit ball."""
-    center = mobius.ball_points(_ball_center(center, radius, n))
+    center = _ball_center(center, radius)
     d0 = float(geometry.distance(center, q.zero_vector(center.shape[0])))
     rmax = np.tanh((d0 + radius) / 2.0)
     dim = 4 * center.shape[0]
@@ -76,9 +74,9 @@ def geodesic_ball(center, radius: float, n: Optional[int] = None) -> RegionSpec:
     )
 
 
-def euclidean_ball(center, radius: float, n: Optional[int] = None) -> RegionSpec:
+def euclidean_ball(center, radius: float) -> RegionSpec:
     """Euclidean ball {|z - center| < radius}, required to stay interior."""
-    center = _ball_center(center, radius, n)
+    center = _ball_center(center, radius)
     if float(q.vnorm(center)) + radius >= 1.0:
         raise NotInBall("euclidean ball must be contained in the open unit ball")
     flat = center.ravel()
@@ -94,6 +92,8 @@ def indicator_region(membership: Callable, n: int, box=None) -> RegionSpec:
     The callback receives points of shape (B, n, 4) and returns a boolean
     mask; points outside |z| < 1 - 1e-12 are never passed to it.
     """
+    if n < 1:
+        raise DimensionMismatch(f"dimension must be >= 1, got {n}")
     if box is None:
         lo, hi = np.full(4 * n, -1.0), np.full(4 * n, 1.0)
     else:
@@ -118,32 +118,6 @@ def _contains(spec: RegionSpec, pts: np.ndarray) -> np.ndarray:
     return mask
 
 
-def region_to_json(spec: RegionSpec) -> dict:
-    if spec.kind == INDICATOR:
-        raise QhbError("indicator regions are in-process only and cannot be serialized")
-    return {
-        "kind": spec.kind,
-        "center": q.to_lists(spec.center),
-        "radius": spec.radius,
-        "dimension": spec.n,
-    }
-
-
-def region_from_json(obj: dict) -> RegionSpec:
-    try:
-        kind = obj["kind"]
-        center = q.hvector_from_json(obj["center"])
-        radius = float(obj["radius"])
-        n = int(obj["dimension"])
-    except KeyError as exc:
-        raise QhbError(f"missing field {exc} in region") from None
-    if kind == GEODESIC_BALL:
-        return geodesic_ball(center, radius, n=n)
-    if kind == EUCLIDEAN_BALL:
-        return euclidean_ball(center, radius, n=n)
-    raise QhbError(f"unknown region kind {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # sampling
 
@@ -160,7 +134,6 @@ class SampleSet:
     moment_estimate: float          # ~ integral of d(0, y) over the region
     standard_error: float           # MC standard error of the mass estimate
     moment_standard_error: float
-    box_volume: float
 
 
 def _worker_threads() -> int:
@@ -219,7 +192,7 @@ def sample_region(spec: RegionSpec, count: int, seed: int) -> SampleSet:
         samples=samples, seed=seed, count_requested=count,
         count_accepted=accepted.shape[0], total_mass_estimate=mass,
         moment_estimate=moment, standard_error=_mc_se(vals, count),
-        moment_standard_error=_mc_se(mom_vals, count), box_volume=box_volume,
+        moment_standard_error=_mc_se(mom_vals, count),
     )
 
 

@@ -196,7 +196,8 @@ def check_au_inverse(rng, trials: int):
         yield np.abs(q.mat_mul(au, inv) - q.identity_matrix(n))
 
 
-def check_jacobian_fd(rng, trials: int, step: float = 1e-5):
+def check_jacobian_fd(rng, trials: int):
+    step = 1e-5
     for n, _ in _batches(trials, 1):
         phi = mobius.hua_new(random_ball_point(rng, n, rmax=0.8))
         z = random_ball_point(rng, n, rmax=0.8)
@@ -288,7 +289,8 @@ def _kernel_profile_values(v, y, t):
     return np.log(geometry.cosh2_half_distance(x, y))
 
 
-def check_convexity_fd(rng, trials: int, h: float = 1e-3):
+def check_convexity_fd(rng, trials: int):
+    h = 1e-3
     tgrid = np.linspace(-3.0, 3.0, 7)
     offsets = np.array([-2.0 * h, -h, 0.0, h, 2.0 * h])
     for n, _ in _batches(max(1, trials // len(tgrid)), 1):

@@ -46,6 +46,8 @@ def test_weighted_points_validation():
         bc.WeightedPoints(points=pts1(0.1), weights=np.array([1.0, 1.0]))
     with pytest.raises(NotInBall):
         bc.WeightedPoints(points=pts1(1.0), weights=np.array([1.0]))
+    with pytest.raises(DimensionMismatch):
+        bc.WeightedPoints(points=np.zeros((3, 0, 4)), weights=np.ones(3))
 
 
 @pytest.mark.parametrize("coord, weight", [

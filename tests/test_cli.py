@@ -143,6 +143,33 @@ def test_barycenter_malformed_json(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+_REGION = ("region-barycenter", "--samples", "1000")
+
+
+@pytest.mark.parametrize("command, text, field", [
+    (("barycenter",), '{"dimension": 1, "points": [{"coords": [[0.1, 0, 0, 0]], "weight": null}]}',
+     "'weight'"),
+    (("barycenter",), '{"dimension": 1, "points": 5}', "'points'"),
+    (("barycenter",), '{"dimension": 1.7, "points": [{"coords": [[0.1, 0, 0, 0]]}]}', "'dimension'"),
+    (_REGION, '{"kind": "geodesic_ball", "center": [[0.3, 0, 0, 0]], '
+     '"radius": null, "dimension": 1}', "'radius'"),
+    (_REGION, '{"kind": "geodesic_ball", "center": [[0.3, 0, 0, 0]], '
+     '"radius": 1.0, "dimension": null}', "'dimension'"),
+    (_REGION, '{"kind": "geodesic_ball", "center": [[0.3, 0, 0, 0]], '
+     '"radius": 1.0, "dimension": 1.7}', "'dimension'"),
+    (_REGION, '[{"kind": "geodesic_ball", "center": [[0.3, 0, 0, 0]], '
+     '"radius": 1.0, "dimension": 1}]', "'dimension'"),
+], ids=["null-weight", "scalar-points", "fractional-dimension", "null-radius",
+        "null-region-dimension", "fractional-region-dimension", "list-region"])
+def test_malformed_field_is_named(capsys, tmp_path, command, text, field):
+    path = tmp_path / "malformed.json"
+    path.write_text(text)
+    code, _, err = run(capsys, *command, str(path))
+    assert code == 1
+    assert err.startswith("error:") and field in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("flags, step, line_search", [
     (["--no-line-search"], 1.0, False),
     (["--step", "0.5"], 0.5, True),
@@ -199,6 +226,13 @@ def test_volume_command(capsys):
     assert float(out) == 0.0
     code, out, _ = run(capsys, "volume", "--rho", str(math.log(3)), "--dim", "1")
     assert float(out) == pytest.approx(88 * math.pi**2 / 81, rel=1e-15)
+
+
+@pytest.mark.parametrize("rho", ["nan", "inf"])
+def test_volume_rejects_non_finite_radius(capsys, rho):
+    code, out, err = run(capsys, "volume", "--rho", rho, "--dim", "1")
+    assert code == 1 and out == ""
+    assert "NonFinite" in err
 
 
 def test_distance_command(capsys):

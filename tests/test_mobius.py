@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qhb import geometry, mobius
+from qhb import cli, geometry, mobius
 from qhb import quaternions as q
 from qhb.errors import DimensionMismatch, NotInBall, QhbError, Singular
 from qhb.verify import random_ball_point, random_ball_points, random_sp
@@ -48,7 +48,7 @@ def test_hua_rejects_boundary():
         mobius.hua_new(pt(1.0))
     with pytest.raises(NotInBall):
         mobius.hua_new(pt(math.nan))
-    for batch in (np.zeros((1, 1, 4)), np.zeros((2, 1, 4))):
+    for batch in (np.zeros((1, 1, 4)), np.zeros((2, 1, 4)), np.zeros((0, 4))):
         with pytest.raises(DimensionMismatch):
             mobius.hua_new(batch)
 
@@ -257,9 +257,9 @@ def test_sp_inverse_blocks_and_round_trip(rng):
 
 def test_sp_relations(rng):
     g = random_sp(rng, 2)
-    a2 = float(q.qnorm2(g.a))
-    assert a2 == pytest.approx(float(q.vnorm2(g.alpha)) + 1.0, abs=1e-12)
-    assert a2 == pytest.approx(float(q.vnorm2(g.beta)) + 1.0, abs=1e-12)
+    a2 = float(q.qnorm2(g.matrix[-1, -1]))
+    assert a2 == pytest.approx(float(q.vnorm2(g.matrix[:-1, -1])) + 1.0, abs=1e-12)
+    assert a2 == pytest.approx(float(q.vnorm2(g.matrix[-1, :-1])) + 1.0, abs=1e-12)
 
 
 def test_consistency_matrix_vs_closed_form(rng):
@@ -284,7 +284,7 @@ def test_intertwine_block_diagonal_translation():
     u = mobius.intertwine_factor(g, pt(0.0))
     assert np.max(np.abs(u.matrix[:-1, -1])) == 0.0
     assert np.max(np.abs(u.matrix[-1, :-1])) == 0.0
-    assert float(q.qnorm(u.a)) == pytest.approx(1.0, abs=1e-12)
+    assert float(q.qnorm(u.matrix[-1, -1])) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_intertwine_rotation_at_origin(rng):
@@ -293,8 +293,8 @@ def test_intertwine_rotation_at_origin(rng):
     g = random_rotation(rng, 2)
     u = mobius.intertwine_factor(g, np.zeros((2, 4)))
     # Phi_0 g Phi_0 flips the sign pattern but stays block diagonal
-    assert np.allclose(u.a_block, g.a_block, atol=1e-12)
-    assert np.allclose(u.a, g.a, atol=1e-12)
+    assert np.allclose(u.matrix[:-1, :-1], g.matrix[:-1, :-1], atol=1e-12)
+    assert np.allclose(u.matrix[-1, -1], g.matrix[-1, -1], atol=1e-12)
 
 
 def test_intertwine_pointwise_identity(rng):
@@ -355,8 +355,8 @@ def test_measure_invariance_pointwise(rng):
 
 def test_sp_json_round_trip(rng):
     g = random_sp(rng, 2)
-    obj = mobius.sp_to_json(g)
-    h = mobius.sp_from_json(obj)
+    obj = cli.sp_to_json(g)
+    h = cli.sp_from_json(obj)
     assert np.allclose(g.matrix, h.matrix, atol=0)
 
 
@@ -367,6 +367,12 @@ def test_sp_loader_rejects_non_member():
     obj = {"A": [[[2.0, 0, 0, 0]]], "alpha": [[0.0, 0, 0, 0]],
            "beta": [[0.0, 0, 0, 0]], "a": [1.0, 0, 0, 0]}
     with pytest.raises(QhbError):
-        mobius.sp_from_json(obj)
+        cli.sp_from_json(obj)
     with pytest.raises(QhbError):
-        mobius.sp_from_json({"A": [[[1.0, 0, 0, 0]]]})
+        cli.sp_from_json({"A": [[[1.0, 0, 0, 0]]]})
+    # a scalar A, and blocks of the wrong shape
+    for key, value in (("A", 1.0), ("A", [[1.0, 0, 0, 0]]), ("alpha", [0.0, 0, 0, 0]),
+                       ("beta", [[0.0, 0, 0, 0], [0.0, 0, 0, 0]]), ("a", [[1.0, 0, 0, 0]])):
+        with pytest.raises(QhbError, match=key):
+            cli.sp_from_json({**cli.sp_to_json(mobius.SpMatrix(matrix=q.identity_matrix(2))),
+                              key: value})

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from qhb import cli
 from qhb import quaternions as q
 from qhb.errors import DimensionMismatch, DivisionByZero
 from qhb.verify import associativity_bound
@@ -138,6 +139,6 @@ def test_hermitian_symmetry(zc, wc):
 
 def test_json_round_trip(rng):
     z = rng.standard_normal((2, 4))
-    assert np.array_equal(q.hvector_from_json(q.to_lists(z)), z)
+    assert np.array_equal(cli._hvector(cli.to_lists(z), None, "z"), z)
     with pytest.raises(DimensionMismatch):
-        q.hvector_from_json([[1.0, 2.0]])
+        cli._hvector([[1.0, 2.0]], None, "z")

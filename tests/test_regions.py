@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from qhb import barycenter as bc
-from qhb import geometry, mobius, regions
+from qhb import cli, geometry, mobius, regions
 from qhb import quaternions as q
 from qhb.errors import DimensionMismatch, EmptyRegion, NonFinite, NotInBall, QhbError
 
@@ -22,12 +22,15 @@ def test_factory_validation():
         regions.euclidean_ball(np.array([[0.8, 0, 0, 0]]), 0.3)
     for factory in (regions.geodesic_ball, regions.euclidean_ball):
         with pytest.raises(DimensionMismatch):
-            factory([[0.1, 0, 0, 0]], 0.5, n=2)
+            cli.region_from_json({"kind": factory.__name__, "center": [[0.1, 0, 0, 0]],
+                                  "radius": 0.5, "dimension": 2})
         with pytest.raises(DimensionMismatch):
             factory(np.zeros((2, 1, 4)), 0.5)
     with pytest.raises(QhbError):
-        regions.region_from_json({"kind": "cube", "center": [[0, 0, 0, 0]],
-                                  "radius": 1.0, "dimension": 1})
+        cli.region_from_json({"kind": "cube", "center": [[0, 0, 0, 0]],
+                              "radius": 1.0, "dimension": 1})
+    with pytest.raises(DimensionMismatch):
+        regions.indicator_region(lambda p: np.ones(len(p), bool), 0)
     for bad in (math.nan, math.inf):
         box = (np.full(4, -0.5), np.full(4, 0.5))
         box[1][2] = bad
@@ -51,12 +54,12 @@ def test_ball_factories_reject_non_finite(factory, center, radius):
 
 def test_region_json_round_trip():
     spec = regions.geodesic_ball(E1, 1.25)
-    back = regions.region_from_json(regions.region_to_json(spec))
+    back = cli.region_from_json(cli.region_to_json(spec))
     assert back.kind == spec.kind
     assert back.radius == spec.radius
     assert np.array_equal(back.center, spec.center)
     with pytest.raises(QhbError):
-        regions.region_to_json(regions.indicator_region(lambda p: np.ones(len(p), bool), 1))
+        cli.region_to_json(regions.indicator_region(lambda p: np.ones(len(p), bool), 1))
 
 
 def test_sampling_is_deterministic():
