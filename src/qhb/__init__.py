@@ -13,7 +13,6 @@ from .barycenter import (
 from .errors import (
     DegenerateGeodesic,
     DimensionMismatch,
-    DivisionByZero,
     EmptyData,
     EmptyRegion,
     InvalidProfile,
@@ -47,7 +46,7 @@ from .mobius import (
     sp_apply,
     sp_inverse,
 )
-from .quaternions import inner, mat_apply, qinv, qmul
+from .quaternions import inner, mat_apply, qmul
 from .regions import (
     RegionResult,
     RegionSpec,

@@ -188,20 +188,25 @@ def _initial_point(data: WeightedPoints) -> np.ndarray:
 def _sweep(data: WeightedPoints, c: np.ndarray):
     """R(c), |R(c)|, G(c), the Gram matrix P^T diag(w) P of the mapped
     points p_i = Phi_c(q_i) and the rounding scale of G, the size of the
-    three terms whose cancellation gives G.  The weighted log sum is an
-    einsum, not a BLAS dot: above ~1e4 points a threaded BLAS dot wakes
-    the BLAS worker threads, which costs milliseconds per sweep, leaves
-    them spinning on a second core, and makes the sum depend on the BLAS
-    thread count."""
-    cc = float(q.vnorm2(c))
-    flat, den2 = _hua_rows(c, data.points.reshape(data.size, -1))
-    r_vec = np.einsum("i,ijk->jk", data.weights, flat.reshape(data.points.shape))
-    w_log = float(np.einsum("i,i->", data.weights, np.log(den2)))
-    w_norm = data.total_weight * math.log1p(-cc)
+    three terms whose cancellation gives G.  The sums run over the blocks
+    of mobius._hua_blocks, in block order, so no temporary grows with the
+    point count and no GEMM or sum wakes the BLAS worker threads or
+    depends on the BLAS thread count; the weighted log sum is an einsum,
+    not a BLAS dot, for the same reason."""
+    n = data.n
+    r_vec = np.zeros((n, 4))
+    gram = np.zeros((4 * n, 4 * n))
+    w_log = 0.0
+    for rows, flat, den2 in mobius._hua_blocks(c, data.points.reshape(data.size, -1)):
+        w = data.weights[rows]
+        r_vec += np.einsum("i,ijk->jk", w, flat.reshape(-1, n, 4))
+        w_log += float(np.einsum("i,i->", w, np.log(den2)))
+        flat *= np.sqrt(w)[:, None]
+        gram += flat.T @ flat
+    w_norm = data.total_weight * math.log1p(-float(q.vnorm2(c)))
     e = w_log - w_norm - data._log_const
     e_scale = abs(w_log) + abs(w_norm) + abs(data._log_const)
-    flat *= np.sqrt(data.weights)[:, None]
-    return r_vec, float(q.vnorm(r_vec)), e, flat.T @ flat, e_scale
+    return r_vec, float(q.vnorm(r_vec)), e, gram, e_scale
 
 
 # -- Newton step in the chart ------------------------------------------------

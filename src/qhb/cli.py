@@ -40,6 +40,12 @@ def _dimension(v) -> int:
     return v
 
 
+def _array(v) -> list:
+    if type(v) is not list:
+        raise ValueError(f"expected a JSON array, got {type(v).__name__}")
+    return v
+
+
 def _hvector(obj, n: int | None, where: str) -> np.ndarray:
     """A vector in H^n, an array of n [w,x,y,z] arrays, as an (n, 4)
     array; n=None takes any n >= 1."""
@@ -65,7 +71,7 @@ def load_point_set(path: str) -> barycenter.WeightedPoints:
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
     n = _field(obj, "dimension", _dimension, "point set")
-    entries = _field(obj, "points", list, "point set")
+    entries = _field(obj, "points", _array, "point set")
     if not entries:
         raise barycenter.EmptyData("no points in input")
     pts, wts = [], []

@@ -9,10 +9,6 @@ class DimensionMismatch(QhbError):
     """Operands live in different quaternionic dimensions."""
 
 
-class DivisionByZero(QhbError):
-    """Quaternion inverse of a (numerically) zero quaternion."""
-
-
 class NonFinite(QhbError):
     """A coordinate, weight or radius is NaN or infinite."""
 

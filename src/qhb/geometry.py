@@ -13,7 +13,7 @@ import numpy as np
 
 from . import mobius
 from . import quaternions as q
-from .errors import DegenerateGeodesic, InvalidProfile, NonFinite
+from .errors import DegenerateGeodesic, DimensionMismatch, InvalidProfile, NonFinite, QhbError
 
 # below this separation two points are considered coincident for geodesics
 _COINCIDENT = 1e-15
@@ -106,14 +106,17 @@ def ball_volume(rho, n: int) -> np.ndarray:
     """Volume of a metric ball of radius rho in the n-dimensional ball model:
 
         (4 pi)^(2n)/(2n+1)! * sinh^(4n)(rho/2) * (1 + 2n cosh^2(rho/2)).
+
+    Raises DimensionMismatch for n < 1, NonFinite for a NaN or infinite
+    rho and QhbError for a negative one.
     """
     if n < 1:
-        raise ValueError("dimension must be >= 1")
+        raise DimensionMismatch(f"dimension must be >= 1, got {n}")
     rho = np.asarray(rho, dtype=float)
     if not np.all(np.isfinite(rho)):
         raise NonFinite("radius must be finite")
     if np.any(rho < 0.0):
-        raise ValueError("radius must be >= 0")
+        raise QhbError("radius must be >= 0")
     half = rho / 2.0
     lead = (4.0 * math.pi) ** (2 * n) / math.factorial(2 * n + 1)
     return lead * np.sinh(half) ** (4 * n) * (1.0 + 2 * n * np.cosh(half) ** 2)

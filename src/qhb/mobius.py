@@ -94,11 +94,12 @@ def _check_in_closed_ball(z: np.ndarray, n: int) -> np.ndarray:
 
 _E = np.eye(4)
 _QMUL = q.qmul(_E[:, None], _E[None, :])  # _QMUL[a, b] = e_a e_b, e = (1, i, j, k)
-# hua_apply runs the kernel on blocks of at most _BLOCK // n rows, so each
-# GEMM has 16 * _BLOCK multiply-adds, below the 4 * 65536 up to which
+# Every pass over many points (hua_apply, the solver's sweep) runs the
+# kernel on the blocks of _hua_blocks, at most _BLOCK // n rows each, so
+# each GEMM has 16 * _BLOCK multiply-adds, below the 4 * 65536 up to which
 # OpenBLAS stays on the calling thread: a threaded GEMM wakes worker threads
 # that spin on the other cores, and on a loaded machine each call waits.
-_BLOCK = 8192  # the solver's sweep passes its point set whole
+_BLOCK = 8192
 
 
 def _hua_rows(c: np.ndarray, flat: np.ndarray):
@@ -107,8 +108,8 @@ def _hua_rows(c: np.ndarray, flat: np.ndarray):
 
     The right division x d = sum_f d_f (x e_f) is four (M n, 4) @ (4, 4)
     products rather than one product with a per-point 4 x 4 matrix, and
-    the temporaries are updated in place: the sweep's temporaries set the
-    peak memory of a large region barycenter."""
+    the temporaries are updated in place: they set the peak memory of a
+    pass over a block."""
     n = c.shape[0]
     m = flat.shape[0]
     s = math.sqrt(1.0 - float(q.vnorm2(c)))
@@ -133,14 +134,23 @@ def _hua_rows(c: np.ndarray, flat: np.ndarray):
     return out.reshape(m, 4 * n), den2
 
 
+def _hua_blocks(c: np.ndarray, flat: np.ndarray):
+    """Yield (rows, Phi_c(flat[rows]), |1 - <z,c>|^2) for the k blocks of
+    equal size, in order, that cover the rows of flat (M, 4n): the one
+    partition of a pass over many points, so that no temporary is sized
+    to the whole set and each GEMM stays on the calling thread."""
+    m = flat.shape[0]
+    k = max(1, -(-m // (_BLOCK // c.shape[0])))
+    for i in range(k):
+        rows = slice(m * i // k, m * (i + 1) // k)
+        yield (rows, *_hua_rows(c, flat[rows]))
+
+
 def hua_apply(phi: HuaInvolution, z) -> np.ndarray:
     """Evaluate Phi_u(z); z may be a batch (..., n, 4), |z| <= 1 allowed."""
     z = _check_in_closed_ball(np.asarray(z, dtype=float), phi.n)
     flat = z.reshape(-1, 4 * phi.n)
-    m = flat.shape[0]
-    k = max(1, -(-m // (_BLOCK // phi.n)))  # k blocks of equal size
-    return np.concatenate([_hua_rows(phi.u, flat[m * i // k:m * (i + 1) // k])[0]
-                           for i in range(k)]).reshape(z.shape)
+    return np.concatenate([out for _, out, _ in _hua_blocks(phi.u, flat)]).reshape(z.shape)
 
 
 def hua_fixed_point(phi: HuaInvolution) -> np.ndarray:

@@ -16,10 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, DivisionByZero
-
-# |q| below this is treated as zero when inverting (denormal guard).
-INV_EPS = 1e-300
+from .errors import DimensionMismatch
 
 _CONJ_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
 
@@ -28,11 +25,6 @@ ONE = np.array([1.0, 0.0, 0.0, 0.0])
 I = np.array([0.0, 1.0, 0.0, 0.0])
 J = np.array([0.0, 0.0, 1.0, 0.0])
 K = np.array([0.0, 0.0, 0.0, 1.0])
-
-
-def quat(w=0.0, x=0.0, y=0.0, z=0.0) -> np.ndarray:
-    """Build a quaternion array [w, x, y, z]."""
-    return np.array([w, x, y, z], dtype=float)
 
 
 def qmul(p, q) -> np.ndarray:
@@ -65,19 +57,6 @@ def qnorm2(q) -> np.ndarray:
 
 def qnorm(q) -> np.ndarray:
     return np.sqrt(qnorm2(q))
-
-
-def qinv(q) -> np.ndarray:
-    """Inverse conj(q)/|q|^2, scaled to stay finite over the full double range.
-
-    Raises DivisionByZero when |q| < INV_EPS.
-    """
-    q = np.asarray(q, dtype=float)
-    scale = np.max(np.abs(q), axis=-1, keepdims=True)
-    if np.any(scale < INV_EPS):
-        raise DivisionByZero("quaternion inverse of (numerically) zero")
-    qs = q / scale
-    return qconj(qs) / (qnorm2(qs)[..., None] * scale)
 
 
 # ---------------------------------------------------------------------------

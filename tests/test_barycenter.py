@@ -265,8 +265,11 @@ def test_sweep_matches_independent_code(rng):
     # action of the Hua matrix, a qmul code path apart from the Hua kernel
     # that residual() and hua_apply share with the sweep
     for n in (1, 2, 3, 4):
-        for size in (1, 2, 7):
+        big = 3 * (mobius._BLOCK // n) + 1  # the sweep sums over four blocks
+        for size in (1, 2, 7, big):
             data = random_weighted_points(rng, n, size)
+            if size == big:  # total weight O(1), so the absolute bounds below hold
+                data = bc.WeightedPoints(points=data.points, weights=data.weights / size)
             c = random_ball_point(rng, n, rmax=0.6)
             r_vec, rn, e, gram, scale = bc._sweep(data, c)
             hua = mobius.hua_matrix_array(mobius.hua_new(c))
@@ -296,11 +299,12 @@ def test_sweep_is_independent_of_blas_threads():
     # one ulp apart under one and two BLAS threads, and energy() did too.
     # n=3 gives the kernel's GEMMs an inner dimension of 4n = 12.
     # hua_apply runs the same kernel, and the geodesic-ball sampler runs it
-    # (through distance) from its worker threads.
+    # (through distance) from its worker threads.  The full solve is on
+    # points out to |q| = 0.999 with weights over twelve decades.
     script = (
         "import hashlib; import numpy as np\n"
         "from qhb import barycenter as bc, mobius, regions\n"
-        "from qhb.verify import random_weighted_points\n"
+        "from qhb.verify import random_ball_points, random_weighted_points\n"
         "for n in (1, 3):\n"
         "    data = random_weighted_points(np.random.default_rng(2), n, 20000)\n"
         "    r, rn, e, gram, scale = bc._sweep(data, np.full((n, 4), 0.1))\n"
@@ -311,6 +315,11 @@ def test_sweep_is_independent_of_blas_threads():
         "ss = regions.sample_region(regions.geodesic_ball([[0.3, 0.1, 0, 0]], 1.0), 4 * regions.CHUNK, 5)\n"
         "print(ss.count_accepted, ss.total_mass_estimate.hex(),\n"
         "      hashlib.sha256(ss.samples.points.tobytes()).hexdigest())\n"
+        "rng = np.random.default_rng(3)\n"
+        "pts = random_ball_points(rng, 4, 40000, 0.999)\n"
+        "res = bc.solve(bc.WeightedPoints(points=pts, weights=10.0 ** rng.uniform(0.0, 12.0, 40000)))\n"
+        "print(res.stop_reason, res.barycenter.tobytes().hex(), res.energy.hex(),\n"
+        "      res.residual_norm.hex())\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(bc.__file__)))
     outs = set()

@@ -150,6 +150,8 @@ _REGION = ("region-barycenter", "--samples", "1000")
     (("barycenter",), '{"dimension": 1, "points": [{"coords": [[0.1, 0, 0, 0]], "weight": null}]}',
      "'weight'"),
     (("barycenter",), '{"dimension": 1, "points": 5}', "'points'"),
+    (("barycenter",), '{"dimension": 1, "points": {"a": 1}}', "'points'"),
+    (("barycenter",), '{"dimension": 1, "points": "ab"}', "'points'"),
     (("barycenter",), '{"dimension": 1.7, "points": [{"coords": [[0.1, 0, 0, 0]]}]}', "'dimension'"),
     (_REGION, '{"kind": "geodesic_ball", "center": [[0.3, 0, 0, 0]], '
      '"radius": null, "dimension": 1}', "'radius'"),
@@ -159,8 +161,8 @@ _REGION = ("region-barycenter", "--samples", "1000")
      '"radius": 1.0, "dimension": 1.7}', "'dimension'"),
     (_REGION, '[{"kind": "geodesic_ball", "center": [[0.3, 0, 0, 0]], '
      '"radius": 1.0, "dimension": 1}]', "'dimension'"),
-], ids=["null-weight", "scalar-points", "fractional-dimension", "null-radius",
-        "null-region-dimension", "fractional-region-dimension", "list-region"])
+], ids=["null-weight", "scalar-points", "object-points", "string-points", "fractional-dimension",
+        "null-radius", "null-region-dimension", "fractional-region-dimension", "list-region"])
 def test_malformed_field_is_named(capsys, tmp_path, command, text, field):
     path = tmp_path / "malformed.json"
     path.write_text(text)
@@ -233,6 +235,16 @@ def test_volume_rejects_non_finite_radius(capsys, rho):
     code, out, err = run(capsys, "volume", "--rho", rho, "--dim", "1")
     assert code == 1 and out == ""
     assert "NonFinite" in err
+
+
+@pytest.mark.parametrize("argv, cls", [
+    (("--dim", "0", "--rho", "1"), "DimensionMismatch"),
+    (("--rho", "-1", "--dim", "1"), "QhbError"),
+], ids=["dimension-0", "negative-radius"])
+def test_volume_rejects_bad_arguments(capsys, argv, cls):
+    code, out, err = run(capsys, "volume", *argv)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {cls}: ")
 
 
 def test_distance_command(capsys):

@@ -4,7 +4,7 @@ from hypothesis import example, given, strategies as st
 
 from qhb import cli
 from qhb import quaternions as q
-from qhb.errors import DimensionMismatch, DivisionByZero
+from qhb.errors import DimensionMismatch
 from qhb.verify import associativity_bound
 
 finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
@@ -22,34 +22,8 @@ def test_defining_relations():
 
 def test_product_expansion_by_hand():
     # (1+i)(1+j) = 1 + j + i + ij = 1 + i + j + k
-    out = q.qmul(q.quat(1, 1, 0, 0), q.quat(1, 0, 1, 0))
-    assert np.array_equal(out, q.quat(1, 1, 1, 1))
-
-
-def test_inverse_of_one_plus_i():
-    p = q.quat(1, 1, 0, 0)
-    assert np.allclose(q.qinv(p), q.quat(0.5, -0.5, 0, 0))
-    assert np.allclose(q.qmul(p, q.qinv(p)), q.ONE, atol=1e-15)
-
-
-def test_inverse_examples():
-    assert np.array_equal(q.qinv(q.ONE), q.ONE)
-    assert np.array_equal(q.qinv(q.I), -q.I)
-    got = q.qinv(q.quat(0, 3, 4, 0))
-    assert np.allclose(got, q.quat(0, -3 / 25, -4 / 25, 0), atol=1e-17)
-    assert np.allclose(q.qmul(q.quat(0, 3, 4, 0), got), q.ONE, atol=1e-15)
-
-
-def test_inverse_of_zero_raises():
-    with pytest.raises(DivisionByZero):
-        q.qinv(q.ZERO)
-
-
-def test_inverse_survives_extreme_scales():
-    tiny = q.quat(1e-200, 0, 1e-201, 0)
-    assert np.allclose(q.qmul(tiny, q.qinv(tiny)), q.ONE, rtol=1e-12)
-    huge = q.quat(1e200, -1e199, 0, 0)
-    assert np.allclose(q.qmul(huge, q.qinv(huge)), q.ONE, rtol=1e-12)
+    out = q.qmul(np.array([1.0, 1, 0, 0]), np.array([1.0, 0, 1, 0]))
+    assert np.array_equal(out, np.array([1.0, 1, 1, 1]))
 
 
 def test_inner_self_is_squared_norm(rng):
