@@ -126,30 +126,40 @@ def ball_volume(rho, n: int) -> np.ndarray:
 # convexity certificate
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConvexityProfile:
     """Data (a, r) = (Re w, |w|), w = <v, y>, for the energy kernel restricted
-    to the origin geodesic with unit direction v and fixed target y."""
+    to the origin geodesic with unit direction v and fixed target y; a and
+    r are floats, or arrays of one shape for a stack of (v, y)."""
 
-    a: float
-    r: float
+    a: float | np.ndarray
+    r: float | np.ndarray
 
     def __post_init__(self):
-        if not (abs(self.a) <= self.r < 1.0):
+        if not np.all((np.abs(self.a) <= self.r) & (self.r < 1.0)):
             raise InvalidProfile(f"need |a| <= r < 1, got a={self.a}, r={self.r}")
 
 
 def convexity_profile(v, y) -> ConvexityProfile:
-    """Profile of t -> log cosh^2(d(tanh(t/2) v, y)/2) for unit v, |y| < 1."""
-    v = q.hvector(v)
-    if abs(float(q.vnorm(v)) - 1.0) > 1e-9:
+    """Profile of t -> log cosh^2(d(tanh(t/2) v, y)/2) for unit v, |y| < 1.
+
+    v and y are one vector (n, 4) each, or stacks of one shape (..., n, 4),
+    which give a profile per pair."""
+    v = np.asarray(v, dtype=float)
+    if v.shape == (4,):
+        v = v[None, :]
+    if v.ndim < 2 or v.shape[-1] != 4:
+        raise DimensionMismatch(f"expected shape (..., n, 4), got {v.shape}")
+    if not np.all(np.abs(q.vnorm(v) - 1.0) <= 1e-9):
         raise InvalidProfile("direction must be a unit vector")
-    y = mobius.ball_points(q.hvector(y))
+    y = mobius.ball_points(y)
+    if y.shape != v.shape:
+        raise DimensionMismatch(f"direction has shape {v.shape}, target {y.shape}")
     w = q.inner(v, y)
-    r = float(q.qnorm(w))
-    if r >= 1.0:
+    r = q.qnorm(w)
+    if np.any(r >= 1.0):
         raise InvalidProfile("|<v,y>| must be < 1")
-    a = min(max(float(w[0]), -r), r)  # guard one-ulp |Re w| > |w| roundoff
+    a = np.minimum(np.maximum(w[..., 0], -r), r)  # guard one-ulp |Re w| > |w| roundoff
     return ConvexityProfile(a=a, r=r)
 
 
@@ -160,9 +170,10 @@ def convexity_second_derivative(profile: ConvexityProfile, t) -> np.ndarray:
         N(u) = (1 + r^2 - 2 a^2) - 2 a (1 - r^2) u + (2 a^2 - r^4 - r^2) u^2,
 
     strictly positive for every t (the energy kernel is strictly convex
-    along geodesics)."""
-    a, r = profile.a, profile.r
+    along geodesics).  The result has shape profile.a.shape + t.shape."""
     u = np.tanh(np.asarray(t, dtype=float) / 2.0)
+    lead = np.shape(profile.a) + (1,) * u.ndim
+    a, r = np.reshape(profile.a, lead), np.reshape(profile.r, lead)
     p = 1.0 - 2.0 * a * u + r * r * u * u
     nq = (1.0 + r * r - 2.0 * a * a) - 2.0 * a * (1.0 - r * r) * u \
         + (2.0 * a * a - r ** 4 - r * r) * u * u

@@ -90,7 +90,7 @@ def _check_in_closed_ball(z: np.ndarray, n: int) -> np.ndarray:
 # 1 - <z,c>: the real 4 x 4 representation of quaternions (F. Zhang,
 # "Quaternions and matrices of quaternions", Linear Algebra Appl. 251,
 # 1997).  hua_apply and the solver run this kernel; projective_apply of
-# hua_matrix_array(phi) is a separate code path, the tests' reference.
+# hua_matrix_array(phi.u) is a separate code path, the tests' reference.
 
 _E = np.eye(4)
 _QMUL = q.qmul(_E[:, None], _E[None, :])  # _QMUL[a, b] = e_a e_b, e = (1, i, j, k)
@@ -172,7 +172,7 @@ class SpMatrix:
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 3 or m.shape[0] != m.shape[1] or m.shape[2] != 4 or m.shape[0] < 2:
             raise DimensionMismatch(f"expected shape (n+1, n+1, 4), got {m.shape}")
-        err = sp_defect(m)
+        err = float(sp_defect(m))
         if err > SP_CHECK_TOL:
             raise QhbError(f"matrix is not in Sp(n,1): max |M*JM - J| = {err:.3g}")
         m = m.copy()
@@ -184,41 +184,44 @@ class SpMatrix:
         return self.matrix.shape[0] - 1
 
 
-def sp_defect(m: np.ndarray) -> float:
-    """Max entrywise deviation of M* J M from J, J = diag(I_n, -1)."""
+def sp_defect(m: np.ndarray) -> np.ndarray:
+    """Max entrywise deviation of M* J M from J, J = diag(I_n, -1), one
+    value for each matrix of m (..., n+1, n+1, 4)."""
     jm = m.copy()
-    jm[-1] = -jm[-1]
-    j = q.identity_matrix(m.shape[0])
+    jm[..., -1, :, :] = -jm[..., -1, :, :]
+    j = q.identity_matrix(m.shape[-2])
     j[-1, -1, 0] = -1.0
-    return float(np.max(np.abs(q.mat_mul(q.mat_conj_transpose(m), jm) - j)))
+    return np.max(np.abs(q.mat_mul(q.mat_conj_transpose(m), jm) - j), axis=(-3, -2, -1))
 
 
-def hua_matrix_array(phi: HuaInvolution) -> np.ndarray:
-    """The matrix (1/s)[[-A_u, u], [-u*, 1]] of Phi_u as a bare
-    (n+1, n+1, 4) array, not checked for membership in Sp(n,1).  The only
-    code that forms A_u = uu*/(1+s) + s I: Hermitian, A_u u = u and
-    A_u v = s v for v perpendicular to u."""
-    n = phi.n
-    au = q.outer(phi.u, phi.u) / (1.0 + phi.s) + phi.s * q.identity_matrix(n)
-    m = np.zeros((n + 1, n + 1, 4))
-    m[:n, :n] = -au / phi.s
-    m[:n, n] = phi.u / phi.s
-    m[n, :n] = -q.qconj(phi.u) / phi.s
-    m[n, n] = q.ONE / phi.s
-    return m
+def hua_matrix_array(u) -> np.ndarray:
+    """The matrices (1/s)[[-A_u, u], [-u*, 1]] of Phi_u for points u
+    (..., n, 4) as a bare (..., n+1, n+1, 4) array, neither u nor the
+    result checked.  The only code that forms A_u = uu*/(1+s) + s I:
+    Hermitian, A_u u = u and A_u v = s v for v perpendicular to u."""
+    u = np.asarray(u, dtype=float)
+    n = u.shape[-2]
+    s = np.sqrt(1.0 - q.vnorm2(u))[..., None, None, None]  # as hua_new forms s
+    m = np.zeros(u.shape[:-2] + (n + 1, n + 1, 4))
+    m[..., :n, :n, :] = -(q.outer(u, u) / (1.0 + s) + s * q.identity_matrix(n))
+    m[..., :n, n, :] = u
+    m[..., n, :n, :] = -q.qconj(u)
+    m[..., n, n, :] = q.ONE
+    return m / s
 
 
 def hua_matrix(phi: HuaInvolution) -> SpMatrix:
     """The matrix (1/s)[[-A_u, u], [-u*, 1]] realizing Phi_u projectively."""
-    return SpMatrix(matrix=hua_matrix_array(phi))
+    return SpMatrix(matrix=hua_matrix_array(phi.u))
 
 
 def projective_apply(m: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Action (Az + alpha)(beta z + a)^{-1} of a bare (n+1, n+1, 4) array
-    m = [[A, alpha], [beta, a]] on points z (..., n, 4); neither m nor z is
-    checked.  Raises Singular when a denominator vanishes."""
-    num = q.mat_apply(m[:-1, :-1], z) + m[:-1, -1]
-    den = q.qmul(m[-1, :-1], z).sum(axis=-2) + m[-1, -1]
+    """Action (Az + alpha)(beta z + a)^{-1} of bare (..., n+1, n+1, 4)
+    arrays m = [[A, alpha], [beta, a]] on points z (..., n, 4), leading
+    axes broadcast; neither m nor z is checked.  Raises Singular when a
+    denominator vanishes."""
+    num = q.mat_apply(m[..., :-1, :-1, :], z) + m[..., :-1, -1, :]
+    den = q.qmul(m[..., -1, :-1, :], z).sum(axis=-2) + m[..., -1, -1, :]
     den2 = q.qnorm2(den)
     if np.any(den2 == 0.0):
         raise Singular("projective denominator vanished for an interior point")
@@ -240,11 +243,11 @@ def sp_inverse(g: SpMatrix) -> SpMatrix:
 
 
 def _intertwine_product(g: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """hua(g(c)) . g . hua(c) for a bare (n+1, n+1, 4) array g and a point
-    c (n, 4); g is not checked, and hua_new checks c and g(c)."""
-    gc = projective_apply(g, c)
-    return q.mat_mul(q.mat_mul(hua_matrix_array(hua_new(gc)), g),
-                     hua_matrix_array(hua_new(c)))
+    """hua(g(c)) . g . hua(c) for bare (..., n+1, n+1, 4) arrays g and
+    points c (..., n, 4), leading axes broadcast; g is not checked, and
+    ball_points checks c and g(c)."""
+    gc = ball_points(projective_apply(g, c))
+    return q.mat_mul(q.mat_mul(hua_matrix_array(gc), g), hua_matrix_array(ball_points(c)))
 
 
 def intertwine_factor(g: SpMatrix, c) -> SpMatrix:

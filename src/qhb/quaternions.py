@@ -106,7 +106,8 @@ def right_scale(z, lam) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# small dense quaternionic matrices, stored as (m, n, 4)
+# small dense quaternionic matrices, stored as (m, n, 4); a stack of them as
+# (..., m, n, 4)
 
 
 def identity_matrix(n: int) -> np.ndarray:
@@ -125,22 +126,24 @@ def mat_apply(m, z) -> np.ndarray:
 
 
 def mat_mul(a, b) -> np.ndarray:
-    """Quaternionic matrix product (AB)_ij = sum_k A_ik B_kj."""
+    """Quaternionic matrix product (AB)_ij = sum_k A_ik B_kj; leading
+    (batch) axes of a (..., m, k, 4) and b (..., k, n, 4) broadcast."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if a.shape[1] != b.shape[0]:
+    if a.shape[-2] != b.shape[-3]:
         raise DimensionMismatch(f"inner dimensions differ: {a.shape} vs {b.shape}")
-    return qmul(a[:, :, None, :], b[None, :, :, :]).sum(axis=1)
+    return qmul(a[..., :, :, None, :], b[..., None, :, :, :]).sum(axis=-3)
 
 
 def mat_conj_transpose(m) -> np.ndarray:
-    """M* with (M*)_ij = conj(M_ji)."""
+    """M* with (M*)_ij = conj(M_ji), for each matrix of m (..., m, n, 4)."""
     m = np.asarray(m, dtype=float)
-    return qconj(np.swapaxes(m, 0, 1))
+    return qconj(np.swapaxes(m, -3, -2))
 
 
 def outer(u, v) -> np.ndarray:
-    """Outer product uv*, the matrix acting as x -> u <x, v>."""
+    """Outer product uv*, the matrix acting as x -> u <x, v>; leading axes
+    of u (..., m, 4) and v (..., n, 4) broadcast."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    return qmul(u[:, None, :], qconj(v)[None, :, :])
+    return qmul(u[..., :, None, :], qconj(v)[..., None, :, :])

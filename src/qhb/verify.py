@@ -34,50 +34,51 @@ def random_ball_point(rng, n: int, rmax: float = 0.9) -> np.ndarray:
     return random_ball_points(rng, n, 1, rmax)[0]
 
 
-def random_unit_quaternion(rng) -> np.ndarray:
-    v = rng.standard_normal(4)
-    return v / np.linalg.norm(v)
+def random_unit_vectors(rng, n: int, size: int) -> np.ndarray:
+    """size unit vectors of H^n, shape (size, n, 4)."""
+    v = rng.standard_normal((size, n, 4))
+    return v / q.vnorm(v)[:, None, None]
 
 
 def random_unit_vector(rng, n: int) -> np.ndarray:
-    v = rng.standard_normal((n, 4))
-    return v / q.vnorm(v)
+    return random_unit_vectors(rng, n, 1)[0]
 
 
-def random_spn_block(rng, n: int) -> np.ndarray:
-    """Random A with AA* = I, by quaternionic Gram-Schmidt on columns."""
-    m = rng.standard_normal((n, n, 4))
+def random_spn_block(rng, n: int, size: int) -> np.ndarray:
+    """size random A with AA* = I, shape (size, n, n, 4), by quaternionic
+    Gram-Schmidt on columns."""
+    m = rng.standard_normal((size, n, n, 4))
     for k in range(n):
-        col = m[:, k]
+        col = m[:, :, k]
         for j in range(k):
-            col = col - q.right_scale(m[:, j], q.inner(col, m[:, j]))
-        m[:, k] = col / q.vnorm(col)
+            col = col - q.right_scale(m[:, :, j], q.inner(col, m[:, :, j]))
+        m[:, :, k] = col / q.vnorm(col)[:, None, None]
     return m
 
 
-def _raw_rotation(rng, n: int) -> np.ndarray:
-    m = q.identity_matrix(n + 1)
-    m[:n, :n] = random_spn_block(rng, n)
-    m[n, n] = random_unit_quaternion(rng)
+def _raw_rotation(rng, n: int, size: int) -> np.ndarray:
+    m = np.zeros((size, n + 1, n + 1, 4))
+    m[:, :n, :n] = random_spn_block(rng, n, size)
+    a = rng.standard_normal((size, 4))
+    m[:, n, n] = a / q.qnorm(a)[:, None]
     return m
 
 
-def _raw_sp(rng, n: int, hua_factors: int = 2) -> np.ndarray:
-    m = _raw_rotation(rng, n)
+def _raw_sp(rng, n: int, size: int, hua_factors: int = 2) -> np.ndarray:
+    m = _raw_rotation(rng, n, size)
     for _ in range(hua_factors):
-        phi = mobius.hua_new(random_ball_point(rng, n, rmax=0.7))
-        m = q.mat_mul(m, mobius.hua_matrix_array(phi))
+        m = q.mat_mul(m, mobius.hua_matrix_array(random_ball_points(rng, n, size, rmax=0.7)))
     return m
 
 
 def random_rotation(rng, n: int) -> mobius.SpMatrix:
     """Random block-diagonal isometry fixing the origin."""
-    return mobius.SpMatrix(matrix=_raw_rotation(rng, n))
+    return mobius.SpMatrix(matrix=_raw_rotation(rng, n, 1)[0])
 
 
 def random_sp(rng, n: int, hua_factors: int = 2) -> mobius.SpMatrix:
     """Random isometry: product of Hua matrices and a rotation."""
-    return mobius.SpMatrix(matrix=_raw_sp(rng, n, hua_factors))
+    return mobius.SpMatrix(matrix=_raw_sp(rng, n, 1, hua_factors)[0])
 
 
 def random_weighted_points(rng, n: int, size: int, rmax: float = 0.8) -> barycenter.WeightedPoints:
@@ -174,8 +175,8 @@ def check_norm_relation(rng, trials: int):
 
 
 def check_sp_membership(rng, trials: int):
-    for n, _ in _batches(trials, 1):
-        yield mobius.sp_defect(_raw_sp(rng, n))
+    for n, b in _batches(trials, 64):
+        yield mobius.sp_defect(_raw_sp(rng, n, b))
 
 
 def check_action_consistency(rng, trials: int):
@@ -188,26 +189,29 @@ def check_action_consistency(rng, trials: int):
 
 def check_au_inverse(rng, trials: int):
     # the Hua matrix's top-left block is -A_u / s
-    for n, _ in _batches(trials, 1):
-        phi = mobius.hua_new(random_ball_point(rng, n))
-        au = -phi.s * mobius.hua_matrix_array(phi)[:n, :n]
-        inv = -q.outer(phi.u, phi.u) / ((1.0 + phi.s) * phi.s) \
-            + q.identity_matrix(n) / phi.s
+    for n, b in _batches(trials, 64):
+        u = random_ball_points(rng, n, b)
+        s = np.sqrt(1.0 - q.vnorm2(u))[:, None, None, None]
+        au = -s * mobius.hua_matrix_array(u)[:, :n, :n]
+        inv = -q.outer(u, u) / ((1.0 + s) * s) + q.identity_matrix(n) / s
         yield np.abs(q.mat_mul(au, inv) - q.identity_matrix(n))
 
 
 def check_jacobian_fd(rng, trials: int):
+    """Central differences of the Hua kernel (hua_apply) against the closed
+    form.  One Phi_u serves a batch of 16 points z, so 2000 trials draw
+    125 distinct u."""
     step = 1e-5
-    for n, _ in _batches(trials, 1):
+    for n, b in _batches(trials, 16):
         phi = mobius.hua_new(random_ball_point(rng, n, rmax=0.8))
-        z = random_ball_point(rng, n, rmax=0.8)
-        jac = float(mobius.jacobian_det(phi, z))
+        z = random_ball_points(rng, n, b, rmax=0.8)
+        jac = mobius.jacobian_det(phi, z)
         basis = np.eye(4 * n).reshape(4 * n, n, 4)
-        probes = z[None] + np.concatenate([step * basis, -step * basis], axis=0)
-        images = mobius.hua_apply(phi, probes)  # (8n, n, 4)
-        cols = (images[: 4 * n] - images[4 * n:]) / (2.0 * step)
-        fd = abs(float(np.linalg.det(cols.reshape(4 * n, 4 * n).T)))
-        yield abs(fd - jac) / jac
+        probes = z[:, None] + np.concatenate([step * basis, -step * basis], axis=0)
+        images = mobius.hua_apply(phi, probes)  # (b, 8n, n, 4)
+        cols = (images[:, : 4 * n] - images[:, 4 * n:]) / (2.0 * step)
+        fd = np.abs(np.linalg.det(cols.reshape(b, 4 * n, 4 * n).transpose(0, 2, 1)))
+        yield np.abs(fd - jac) / jac
 
 
 def check_measure_invariance(rng, trials: int):
@@ -221,11 +225,11 @@ def check_measure_invariance(rng, trials: int):
 
 def check_intertwine_offdiag(rng, trials: int):
     # every isometry is exactly rotation . Phi_c, so one Hua factor is general
-    for n, _ in _batches(trials, 1):
-        g = _raw_sp(rng, n, hua_factors=1)
-        m = mobius._intertwine_product(g, random_ball_point(rng, n, rmax=0.7))
-        yield np.abs(m[:-1, -1])
-        yield np.abs(m[-1, :-1])
+    for n, b in _batches(trials, 64):
+        g = _raw_sp(rng, n, b, hua_factors=1)
+        m = mobius._intertwine_product(g, random_ball_points(rng, n, b, rmax=0.7))
+        yield np.abs(m[:, :-1, -1])
+        yield np.abs(m[:, -1, :-1])
 
 
 def check_intertwine_pointwise(rng, trials: int):
@@ -306,8 +310,9 @@ def check_convexity_fd(rng, trials: int):
 
 def check_convexity_positive(rng, trials: int):
     tgrid = np.linspace(-10.0, 10.0, 25)
-    for n, _ in _batches(trials, 1):
-        prof = geometry.convexity_profile(random_unit_vector(rng, n), random_ball_point(rng, n, rmax=0.98))
+    for n, b in _batches(trials, 64):
+        prof = geometry.convexity_profile(random_unit_vectors(rng, n, b),
+                                          random_ball_points(rng, n, b, rmax=0.98))
         yield -geometry.convexity_second_derivative(prof, tgrid)
 
 

@@ -272,7 +272,7 @@ def test_sweep_matches_independent_code(rng):
                 data = bc.WeightedPoints(points=data.points, weights=data.weights / size)
             c = random_ball_point(rng, n, rmax=0.6)
             r_vec, rn, e, gram, scale = bc._sweep(data, c)
-            hua = mobius.hua_matrix_array(mobius.hua_new(c))
+            hua = mobius.hua_matrix_array(c)
             mapped = mobius.projective_apply(hua, data.points)
             ref_r = np.einsum("i,ijk->jk", data.weights, mapped)
             mapped = mapped.reshape(size, 4 * n)

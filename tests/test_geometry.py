@@ -7,7 +7,13 @@ from scipy.integrate import quad
 from qhb import geometry, mobius
 from qhb import quaternions as q
 from qhb.errors import DegenerateGeodesic, DimensionMismatch, InvalidProfile, NotInBall
-from qhb.verify import random_ball_point, random_ball_points, random_sp, random_unit_vector
+from qhb.verify import (
+    random_ball_point,
+    random_ball_points,
+    random_sp,
+    random_unit_vector,
+    random_unit_vectors,
+)
 
 
 def pt(*vals):
@@ -251,6 +257,35 @@ def test_convexity_profile_validation():
         geometry.convexity_profile(pt(1.0), pt(math.nan))
     with pytest.raises(DimensionMismatch):
         geometry.convexity_profile(pt(1.0), np.zeros((2, 1, 4)))
+    # a stack with one bad row raises as the bad row alone does
+    v = np.repeat(pt(1.0)[None], 4, axis=0)
+    y = np.repeat(pt(0.1)[None], 4, axis=0)
+    geometry.convexity_profile(v, y)
+    bad_v = v.copy()
+    bad_v[2] *= 0.5
+    with pytest.raises(InvalidProfile):
+        geometry.convexity_profile(bad_v, y)
+    bad_y = y.copy()
+    bad_y[2, 0, 0] = 1.5
+    with pytest.raises(NotInBall):
+        geometry.convexity_profile(v, bad_y)
+    with pytest.raises(DimensionMismatch):
+        geometry.convexity_profile(v, np.zeros((4, 2, 4)))
+    with pytest.raises(InvalidProfile):
+        geometry.ConvexityProfile(a=np.array([0.0, 0.5]), r=np.array([0.1, 0.4]))
+
+
+def test_stacked_convexity_profiles(rng):
+    t = np.linspace(-3.0, 3.0, 5)
+    for n in (1, 2):
+        v = random_unit_vectors(rng, n, 6).reshape(2, 3, n, 4)
+        y = random_ball_points(rng, n, 6).reshape(2, 3, n, 4)
+        vals = geometry.convexity_second_derivative(geometry.convexity_profile(v, y), t)
+        assert vals.shape == (2, 3) + t.shape
+        for i in range(2):
+            for j in range(3):
+                prof = geometry.convexity_profile(v[i, j], y[i, j])
+                assert np.array_equal(vals[i, j], geometry.convexity_second_derivative(prof, t))
 
 
 def test_quadratic_endpoint_value_via_fit():

@@ -17,7 +17,7 @@ def pt(*vals):
 
 def a_u(phi):
     """A_u read from the Hua matrix, whose top-left block is -A_u / s."""
-    return -phi.s * mobius.hua_matrix_array(phi)[:phi.n, :phi.n]
+    return -phi.s * mobius.hua_matrix_array(phi.u)[:phi.n, :phi.n]
 
 
 def test_hua_at_origin():
@@ -166,6 +166,31 @@ def test_hua_matrix_membership_and_square(rng):
         assert mobius.sp_defect(g.matrix) <= 1e-12
         sq = q.mat_mul(g.matrix, g.matrix)
         assert np.allclose(sq, q.identity_matrix(n + 1), atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stacked_matrix_helpers_match_single_calls(rng, n):
+    """Slice i of each helper on a stack of 16 is byte-identical to the
+    call on slice i of the inputs."""
+    size = 16
+    a = rng.standard_normal((size, n + 1, n + 1, 4))
+    b = rng.standard_normal((size, n + 1, n + 1, 4))
+    u = random_ball_points(rng, n, size)
+    v = rng.standard_normal((size, n, 4))
+    z = random_ball_points(rng, n, size)
+    prod, ct, out = q.mat_mul(a, b), q.mat_conj_transpose(a), q.outer(u, v)
+    hua = mobius.hua_matrix_array(u)
+    defect = mobius.sp_defect(hua)
+    image = mobius.projective_apply(hua, z)
+    assert defect.shape == (size,) and np.all(defect <= 1e-12)
+    for i in range(size):
+        assert np.array_equal(prod[i], q.mat_mul(a[i], b[i]))
+        assert np.array_equal(ct[i], q.mat_conj_transpose(a[i]))
+        assert np.array_equal(out[i], q.outer(u[i], v[i]))
+        assert np.array_equal(hua[i], mobius.hua_matrix_array(u[i]))
+        assert np.array_equal(hua[i], mobius.hua_matrix(mobius.hua_new(u[i])).matrix)
+        assert np.array_equal(defect[i], mobius.sp_defect(hua[i]))
+        assert np.array_equal(image[i], mobius.projective_apply(hua[i], z[i]))
 
 
 def test_hua_matrix_eigenvectors(rng):

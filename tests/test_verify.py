@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import qhb.geometry
 import qhb.mobius
 import qhb.quaternions
 from qhb import verify
@@ -62,20 +63,50 @@ def test_injected_fault_does_not_leak():
     assert verify.run_check(check, seed=0, trials=64).max_error <= 1e-12
 
 
-@pytest.mark.parametrize("name", ["au_inverse", "action_consistency", "intertwine_offdiag"])
+@pytest.mark.parametrize("name", ["au_inverse", "action_consistency", "intertwine_offdiag",
+                                  "sp_membership"])
 def test_injected_hua_matrix_fault_is_caught(monkeypatch, name):
     """A Hua matrix whose A_u lost its 1/(1+s) must fail every check that
     reads the matrix."""
     true_hua_matrix_array = qhb.mobius.hua_matrix_array
 
-    def broken(phi):
-        m = true_hua_matrix_array(phi)
-        au = qhb.quaternions.outer(phi.u, phi.u) + phi.s * qhb.quaternions.identity_matrix(phi.n)
-        m[:phi.n, :phi.n] = -au / phi.s
+    def broken(u):
+        m = true_hua_matrix_array(u)
+        u = np.asarray(u, dtype=float)
+        n = u.shape[-2]
+        s = np.sqrt(1.0 - qhb.quaternions.vnorm2(u))[..., None, None, None]
+        au = qhb.quaternions.outer(u, u) + s * qhb.quaternions.identity_matrix(n)
+        m[..., :n, :n, :] = -au / s
         return m
 
     monkeypatch.setattr(qhb.mobius, "hua_matrix_array", broken)
     check = next(c for c in verify.CHECKS if c.name == name)
+    result = verify.run_check(check, seed=0, trials=64)
+    assert not result.passed
+    assert result.max_error > 1e-3
+
+
+def test_injected_jacobian_exponent_fault_is_caught(monkeypatch):
+    """A Jacobian with exponent 2n+1 in place of 2n+2 must fail jacobian_fd."""
+
+    def broken(phi, z):
+        z = qhb.mobius.ball_points(z, phi.n)
+        den2 = qhb.quaternions.qnorm2(qhb.quaternions.ONE - qhb.quaternions.inner(z, phi.u))
+        return (phi.s ** 2 / den2) ** (2 * phi.n + 1)
+
+    monkeypatch.setattr(qhb.mobius, "jacobian_det", broken)
+    check = next(c for c in verify.CHECKS if c.name == "jacobian_fd")
+    result = verify.run_check(check, seed=0, trials=64)
+    assert not result.passed
+    assert result.max_error > 1e-3
+
+
+def test_injected_convexity_sign_fault_is_caught(monkeypatch):
+    """A second derivative with its sign flipped must fail convexity_positive."""
+    true_second = qhb.geometry.convexity_second_derivative
+    monkeypatch.setattr(qhb.geometry, "convexity_second_derivative",
+                        lambda profile, t: -true_second(profile, t))
+    check = next(c for c in verify.CHECKS if c.name == "convexity_positive")
     result = verify.run_check(check, seed=0, trials=64)
     assert not result.passed
     assert result.max_error > 1e-3
@@ -125,7 +156,8 @@ def test_random_spn_block_unitary(rng):
     from qhb import quaternions as q
 
     for n in (1, 2, 3):
-        a = verify.random_spn_block(rng, n)
+        a = verify.random_spn_block(rng, n, 16)
+        assert a.shape == (16, n, n, 4)
         aat = q.mat_mul(a, q.mat_conj_transpose(a))
         assert np.allclose(aat, q.identity_matrix(n), atol=1e-12)
 
