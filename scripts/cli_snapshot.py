@@ -49,6 +49,10 @@ COMMANDS = (
         ["barycenter", "null_weight.json"],
         ["barycenter", "object_points.json"],
         ["region-barycenter", "null_radius.json", "--samples", "1000"],
+        ["barycenter", "two_points.json", "--tol", "nan"],
+        ["region-barycenter", "geodesic_ball_n2.json", "--samples", "1000",
+         "--seed", "18446744073709551616"],
+        ["region-barycenter", "geodesic_ball_n2.json", "--samples", "1000", "--seed", "-1"],
         ["verify", "--seed", "0", "--trials", "2000"],
         ["verify", "--seed", "3", "--trials", "2000"],
     ]

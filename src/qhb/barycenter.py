@@ -34,6 +34,7 @@ change is below the rounding of the terms of G are judged on |R|.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -41,7 +42,7 @@ import numpy as np
 
 from . import mobius
 from . import quaternions as q
-from .errors import DimensionMismatch, EmptyData, NonFinite, NotInBall, QhbError
+from .errors import EmptyData, NonFinite, NotInBall, QhbError
 from .mobius import _QMUL, _hua_rows
 
 # line search gives up once eta underflows; the iterate cannot improve
@@ -62,10 +63,9 @@ class WeightedPoints:
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 3 or pts.shape[-1] != 4 or pts.shape[0] == 0:
+        if pts.ndim != 3 or pts.shape[0] == 0:
             raise EmptyData(f"expected a nonempty (N, n, 4) point array, got {pts.shape}")
-        if pts.shape[1] < 1:
-            raise DimensionMismatch("points of dimension 0")
+        pts = q.hvectors(pts)
         wts = np.asarray(self.weights, dtype=float)
         if wts.shape != (pts.shape[0],):
             raise QhbError(f"{pts.shape[0]} points but {wts.shape} weights")
@@ -117,6 +117,12 @@ def weighted_points(points, weights=None) -> WeightedPoints:
     return WeightedPoints(points=pts, weights=np.asarray(weights, dtype=float))
 
 
+def _check_int(name: str, v, lo: int, hi: float = math.inf) -> None:
+    """Raise QhbError unless v is an integer (numpy's too, bool not) in [lo, hi)."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral) or not lo <= v < hi:
+        raise QhbError(f"{name} must be an integer in [{lo}, {hi}), got {v!r}")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     step: float = 1.0        # chart step eta in (0, 1]
@@ -127,10 +133,9 @@ class SolverConfig:
     def __post_init__(self):
         if not (0.0 < self.step <= 1.0):
             raise QhbError(f"step must be in (0, 1], got {self.step}")
-        if self.max_iters < 1:
-            raise QhbError("max_iters must be >= 1")
-        if self.tol <= 0.0:
-            raise QhbError("tol must be positive")
+        _check_int("max_iters", self.max_iters, 1)
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise QhbError(f"tol must be positive and finite, got {self.tol}")
 
 
 @dataclass(frozen=True, eq=False)

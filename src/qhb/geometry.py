@@ -7,7 +7,7 @@ d(0, z) = log((1+|z|)/(1-|z|)) and whose isometry group is Sp(n,1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,18 +57,24 @@ class GeodesicChart:
     base.
     """
 
-    base: np.ndarray       # (n, 4), |base| < 1
-    direction: np.ndarray  # (n, 4), |direction| = 1
-    phi: mobius.HuaInvolution = field(repr=False)  # Phi_base
+    phi: mobius.HuaInvolution  # Phi_base
+    direction: np.ndarray      # (n, 4), |direction| = 1
+
+    @property
+    def base(self) -> np.ndarray:  # read-only, |base| < 1
+        return self.phi.u
 
 
 def geodesic_chart(base, direction) -> GeodesicChart:
-    base = q.hvector(base)
-    direction = q.hvector(direction)
+    """The geodesic from base toward a finite nonzero direction of the same n."""
+    phi = mobius.hua_new(base)
+    direction = q.hvector(direction, phi.n)
+    if not np.all(np.isfinite(direction)):
+        raise NonFinite("direction must be finite")
     dn = float(q.vnorm(direction))
     if dn < _COINCIDENT:
         raise DegenerateGeodesic("zero direction")
-    return GeodesicChart(base=base, direction=direction / dn, phi=mobius.hua_new(base))
+    return GeodesicChart(phi=phi, direction=direction / dn)
 
 
 def geodesic_point(chart: GeodesicChart, t) -> np.ndarray:
@@ -80,13 +86,12 @@ def geodesic_point(chart: GeodesicChart, t) -> np.ndarray:
 
 def geodesic_between(p, q_point) -> GeodesicChart:
     """Chart based at p through q: point(d(p,q)) = q.  Midpoint = point(d/2)."""
-    p = q.hvector(p)
     phi = mobius.hua_new(p)
     m = mobius.hua_apply(phi, q.hvector(q_point))
     mn = float(q.vnorm(m))
     if mn < _COINCIDENT:
         raise DegenerateGeodesic("endpoints coincide")
-    return GeodesicChart(base=p, direction=-m / mn, phi=phi)
+    return GeodesicChart(phi=phi, direction=-m / mn)
 
 
 # ---------------------------------------------------------------------------
@@ -145,11 +150,7 @@ def convexity_profile(v, y) -> ConvexityProfile:
 
     v and y are one vector (n, 4) each, or stacks of one shape (..., n, 4),
     which give a profile per pair."""
-    v = np.asarray(v, dtype=float)
-    if v.shape == (4,):
-        v = v[None, :]
-    if v.ndim < 2 or v.shape[-1] != 4:
-        raise DimensionMismatch(f"expected shape (..., n, 4), got {v.shape}")
+    v = q.hvectors(v)
     if not np.all(np.abs(q.vnorm(v) - 1.0) <= 1e-9):
         raise InvalidProfile("direction must be a unit vector")
     y = mobius.ball_points(y)

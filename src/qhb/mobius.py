@@ -18,7 +18,7 @@ right division by the last homogeneous coordinate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,9 +26,7 @@ from . import quaternions as q
 from .errors import DimensionMismatch, NotInBall, QhbError, Singular
 
 # hua_apply takes points on the closed ball (Phi_u maps the sphere to itself),
-# so |z|^2 may exceed 1 by roundoff; every other function taking points
-# requires the open ball (ball_points), and point sets and samples the
-# stricter barycenter.MAX_NORM2
+# so |z|^2 may exceed 1 by this roundoff
 _BALL_SLACK = 1e-12
 # M* J M = J must hold to this accuracy for a matrix to be accepted
 SP_CHECK_TOL = 1e-9
@@ -38,10 +36,17 @@ _INTERTWINE_TOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class HuaInvolution:
-    """The involution Phi_u; immutable, safe to share across threads."""
+    """The involution Phi_u of one point u, |u| < 1, kept as a read-only
+    copy; u = 0 gives s = 1.  Immutable, safe to share across threads."""
 
-    u: np.ndarray  # (n, 4)
-    s: float       # sqrt(1 - |u|^2)
+    u: np.ndarray                 # (n, 4)
+    s: float = field(init=False)  # sqrt(1 - |u|^2)
+
+    def __post_init__(self):
+        u = ball_points(q.hvector(self.u)).copy()
+        u.flags.writeable = False
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "s", float(np.sqrt(1.0 - q.vnorm2(u))))
 
     @property
     def n(self) -> int:
@@ -49,37 +54,17 @@ class HuaInvolution:
 
 
 def ball_points(z, n: int | None = None) -> np.ndarray:
-    """z as points of the open unit ball, shape (..., n, 4); a lone
-    quaternion (4,) is a point of H^1.  The one open-ball check: every
-    function taking points except hua_apply calls it.  Raises
-    DimensionMismatch for a wrong shape, dimension 0, or a dimension other
-    than a given n, and NotInBall unless |z| < 1, NaN included."""
-    z = np.asarray(z, dtype=float)
-    if z.shape == (4,):
-        z = z[None, :]
-    if (z.ndim < 2 or z.shape[-1] != 4 or z.shape[-2] < 1
-            or (n is not None and z.shape[-2] != n)):
-        raise DimensionMismatch(f"expected points in H^{n or 'n'}, got shape {z.shape}")
+    """z shaped by quaternions.hvectors, as points of the open ball: the one
+    check of |z| < 1 (NaN fails it, with NotInBall), made by all but hua_apply."""
+    z = q.hvectors(z, n)
     if not (q.vnorm2(z) < 1.0).all():
         raise NotInBall("point outside the open unit ball")
     return z
 
 
 def hua_new(u) -> HuaInvolution:
-    """Construct Phi_u for one point u, |u| < 1; u=0 gives s=1."""
-    u = ball_points(q.hvector(u)).copy()
-    u.flags.writeable = False
-    return HuaInvolution(u=u, s=float(np.sqrt(1.0 - q.vnorm2(u))))
-
-
-def _check_in_closed_ball(z: np.ndarray, n: int) -> np.ndarray:
-    if z.ndim == 1:
-        z = z[None, :]
-    if z.shape[-2] != n or z.shape[-1] != 4:
-        raise DimensionMismatch(f"expected points in H^{n}, got shape {z.shape}")
-    if not np.all(q.vnorm2(z) <= 1.0 + _BALL_SLACK):
-        raise NotInBall("point outside the closed unit ball")
-    return z
+    """Construct Phi_u for one point u, |u| < 1."""
+    return HuaInvolution(u)
 
 
 # -- the Hua kernel ----------------------------------------------------------
@@ -148,7 +133,9 @@ def _hua_blocks(c: np.ndarray, flat: np.ndarray):
 
 def hua_apply(phi: HuaInvolution, z) -> np.ndarray:
     """Evaluate Phi_u(z); z may be a batch (..., n, 4), |z| <= 1 allowed."""
-    z = _check_in_closed_ball(np.asarray(z, dtype=float), phi.n)
+    z = q.hvectors(z, phi.n)
+    if not np.all(q.vnorm2(z) <= 1.0 + _BALL_SLACK):
+        raise NotInBall("point outside the closed unit ball")
     flat = z.reshape(-1, 4 * phi.n)
     return np.concatenate([out for _, out, _ in _hua_blocks(phi.u, flat)]).reshape(z.shape)
 
@@ -201,7 +188,7 @@ def hua_matrix_array(u) -> np.ndarray:
     Hermitian, A_u u = u and A_u v = s v for v perpendicular to u."""
     u = np.asarray(u, dtype=float)
     n = u.shape[-2]
-    s = np.sqrt(1.0 - q.vnorm2(u))[..., None, None, None]  # as hua_new forms s
+    s = np.sqrt(1.0 - q.vnorm2(u))[..., None, None, None]  # as HuaInvolution forms s
     m = np.zeros(u.shape[:-2] + (n + 1, n + 1, 4))
     m[..., :n, :n, :] = -(q.outer(u, u) / (1.0 + s) + s * q.identity_matrix(n))
     m[..., :n, n, :] = u

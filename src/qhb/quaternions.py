@@ -20,7 +20,6 @@ from .errors import DimensionMismatch
 
 _CONJ_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
 
-ZERO = np.zeros(4)
 ONE = np.array([1.0, 0.0, 0.0, 0.0])
 I = np.array([0.0, 1.0, 0.0, 0.0])
 J = np.array([0.0, 0.0, 1.0, 0.0])
@@ -63,13 +62,23 @@ def qnorm(q) -> np.ndarray:
 # vectors in H^n
 
 
-def hvector(components) -> np.ndarray:
-    """One vector in H^n as an (n, 4) array; a lone quaternion (4,) is in H^1."""
-    z = np.asarray(components, dtype=float)
+def hvectors(z, n: int | None = None) -> np.ndarray:
+    """z as vectors in H^n, shape (..., n, 4), n >= 1 and equal to a given n; a lone
+    quaternion (4,) is in H^1.  The one shape rule for points: others raise DimensionMismatch."""
+    z = np.asarray(z, dtype=float)
     if z.shape == (4,):
         z = z[None, :]
-    if z.ndim != 2 or z.shape[-1] != 4:
-        raise DimensionMismatch(f"expected shape (n, 4), got {z.shape}")
+    if (z.ndim < 2 or z.shape[-1] != 4 or z.shape[-2] < 1
+            or (n is not None and z.shape[-2] != n)):
+        raise DimensionMismatch(f"expected points in H^{n or 'n'}, got shape {z.shape}")
+    return z
+
+
+def hvector(components, n: int | None = None) -> np.ndarray:
+    """One vector in H^n as an (n, 4) array, by the rule of hvectors."""
+    z = hvectors(components, n)
+    if z.ndim != 2:
+        raise DimensionMismatch(f"expected one vector (n, 4), got shape {z.shape}")
     return z
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import geometry, mobius
 from . import quaternions as q
-from .barycenter import MAX_NORM2, SolverConfig, SolverResult, WeightedPoints, solve
+from .barycenter import MAX_NORM2, SolverConfig, SolverResult, WeightedPoints, _check_int, solve
 from .errors import DimensionMismatch, EmptyRegion, NonFinite, NotInBall, QhbError
 
 CHUNK = 1 << 16
@@ -52,8 +52,7 @@ class RegionSpec:
 
 
 def _ball_center(center, radius: float) -> np.ndarray:
-    """The center of a ball region as an (n, 4) array, after checking the
-    shape, finiteness, a positive radius and the open ball."""
+    """A ball region's center as a point of the open ball; radius finite, > 0."""
     center = q.hvector(center)
     if not (np.all(np.isfinite(center)) and math.isfinite(radius)):
         raise NonFinite("center and radius must be finite")
@@ -148,7 +147,7 @@ def _worker_threads() -> int:
 
 
 def _sample_chunk(spec: RegionSpec, seed: int, index: int, size: int) -> np.ndarray:
-    rng = np.random.Generator(np.random.Philox(key=[seed, index]))
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
     # the same draws as rng.uniform(box_lo, box_hi), without its broadcasting
     flat = rng.random((size, 4 * spec.n))
     flat *= spec.box_hi - spec.box_lo
@@ -164,8 +163,8 @@ def _sample_chunk(spec: RegionSpec, seed: int, index: int, size: int) -> np.ndar
 def sample_region(spec: RegionSpec, count: int, seed: int) -> SampleSet:
     """Draw `count` box proposals, keep those inside the region, weight by the
     invariant density.  Deterministic for fixed (spec, count, seed)."""
-    if count < 1:
-        raise QhbError("sample count must be >= 1")
+    _check_int("sample count", count, 1)
+    _check_int("seed", seed, 0, 2**64)
     sizes = [CHUNK] * (count // CHUNK)
     if count % CHUNK:
         sizes.append(count % CHUNK)

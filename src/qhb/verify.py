@@ -323,11 +323,10 @@ def check_convexity_positive(rng, trials: int):
 def gradient_check(data: barycenter.WeightedPoints, c) -> float:
     """Max componentwise gap between a five-point finite difference of
     G_c at 0, with spacing 1e-5, and the closed form -2 R(c)."""
-    c = q.hvector(c)
-    n = c.shape[0]
-    step = 1e-5
     phi = mobius.hua_new(c)
-    target = -2.0 * barycenter.residual(data, c).ravel()
+    n = phi.n
+    step = 1e-5
+    target = -2.0 * barycenter.residual(data, phi.u).ravel()
     basis = np.eye(4 * n).reshape(4 * n, n, 4)
     offsets = np.array([-2.0, -1.0, 1.0, 2.0]) * step
     probes = offsets[None, :, None, None] * basis[:, None, :, :]  # (4n, 4, n, 4)

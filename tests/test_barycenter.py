@@ -48,6 +48,8 @@ def test_weighted_points_validation():
         bc.WeightedPoints(points=pts1(1.0), weights=np.array([1.0]))
     with pytest.raises(DimensionMismatch):
         bc.WeightedPoints(points=np.zeros((3, 0, 4)), weights=np.ones(3))
+    with pytest.raises(DimensionMismatch):
+        bc.WeightedPoints(points=np.zeros((3, 1, 5)), weights=np.ones(3))
 
 
 @pytest.mark.parametrize("coord, weight", [
@@ -247,6 +249,11 @@ def test_solver_config_validation():
         bc.SolverConfig(tol=0.0)
     with pytest.raises(QhbError):
         bc.SolverConfig(max_iters=0)
+    for kwargs in ({"tol": math.nan}, {"tol": math.inf}, {"max_iters": 2.5},
+                   {"max_iters": True}):
+        with pytest.raises(QhbError):
+            bc.SolverConfig(**kwargs)
+    assert bc.SolverConfig(max_iters=np.int64(3)).max_iters == 3
 
 
 def test_solver_start_outside_ball():

@@ -192,6 +192,21 @@ def test_exit_code_two_when_not_converged(capsys, two_weighted_file):
     assert json.loads(out)["converged"] is False
 
 
+@pytest.mark.parametrize("flags", [("--tol", "nan"), ("--tol", "inf")], ids=["nan", "inf"])
+def test_non_finite_tol_exits_one(capsys, two_weighted_file, flags):
+    code, out, err = run(capsys, "barycenter", two_weighted_file, *flags)
+    assert code == 1 and out == ""
+    assert err.startswith("error: QhbError: ") and "tol" in err
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_region_seed_out_of_range_exits_one(capsys, region_file, seed):
+    code, out, err = run(capsys, "region-barycenter", region_file,
+                         "--samples", "1000", "--seed", seed)
+    assert code == 1 and out == ""
+    assert err.startswith("error: QhbError: ") and "seed" in err
+
+
 def test_result_round_trip(capsys, two_weighted_file):
     _, out, _ = run(capsys, "barycenter", two_weighted_file)
     payload = json.loads(out)

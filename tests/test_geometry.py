@@ -6,7 +6,7 @@ from scipy.integrate import quad
 
 from qhb import geometry, mobius
 from qhb import quaternions as q
-from qhb.errors import DegenerateGeodesic, DimensionMismatch, InvalidProfile, NotInBall
+from qhb.errors import DegenerateGeodesic, DimensionMismatch, InvalidProfile, NonFinite, NotInBall
 from qhb.verify import (
     random_ball_point,
     random_ball_points,
@@ -174,6 +174,27 @@ def test_degenerate_geodesic():
         geometry.geodesic_chart(batch, pt(1.0))
     with pytest.raises(DimensionMismatch):
         geometry.geodesic_between(pt(0.3), batch)
+
+
+@pytest.mark.parametrize("direction, error", [
+    (np.array([[math.nan, 1.0, 0.0, 0.0]]), NonFinite),
+    (np.array([[0.0, math.inf, 0.0, 0.0]]), NonFinite),
+    (np.zeros((1, 4)), DegenerateGeodesic),
+    (np.ones((2, 4)), DimensionMismatch),
+], ids=["nan", "inf", "zero", "mismatched-n"])
+def test_geodesic_chart_rejects_bad_direction(direction, error):
+    with pytest.raises(error):
+        geometry.geodesic_chart(pt(0.2), direction)
+
+
+def test_geodesic_chart_holds_one_copy_of_its_base():
+    base = pt(0.1)
+    chart = geometry.geodesic_chart(base, pt(2.0))
+    base[0, 0] = 0.9
+    assert chart.base is chart.phi.u and chart.base[0, 0] == 0.1
+    assert np.array_equal(chart.direction, pt(1.0))
+    with pytest.raises(ValueError):
+        chart.base[0, 0] = 0.5
 
 
 # ---------------------------------------------------------------------------

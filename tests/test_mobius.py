@@ -53,6 +53,23 @@ def test_hua_rejects_boundary():
             mobius.hua_new(batch)
 
 
+@pytest.mark.parametrize("u", [pt(1.0), pt(2.0), np.array([[0.6, 0.0, 0.8, 0.0]]), pt(math.nan)],
+                         ids=["on-sphere-real", "outside", "on-sphere-quaternion", "nan"])
+def test_hua_involution_checks_its_point(u):
+    with pytest.raises(NotInBall):
+        mobius.HuaInvolution(u)
+
+
+def test_hua_involution_derives_s_and_copies_u():
+    u = pt(0.6)
+    phi = mobius.HuaInvolution(u)
+    u[0, 0] = 0.0
+    assert phi.u[0, 0] == 0.6 and not phi.u.flags.writeable
+    assert phi.s == float(np.sqrt(1.0 - q.vnorm2(pt(0.6))))
+    with pytest.raises(TypeError):
+        mobius.HuaInvolution(pt(0.6), s=0.3)
+
+
 def test_hua_apply_swaps_origin_and_center(rng):
     for n in (1, 2, 3):
         u = random_ball_point(rng, n)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from qhb import cli
+from qhb import barycenter as bc
+from qhb import cli, geometry, mobius, regions
 from qhb import quaternions as q
 from qhb.errors import DimensionMismatch
 from qhb.verify import associativity_bound
@@ -116,3 +117,58 @@ def test_json_round_trip(rng):
     assert np.array_equal(cli._hvector(cli.to_lists(z), None, "z"), z)
     with pytest.raises(DimensionMismatch):
         cli._hvector([[1.0, 2.0]], None, "z")
+
+
+# ---------------------------------------------------------------------------
+# the one shape rule for point arguments (quaternions.hvectors)
+
+_P2 = np.array([[0.1, 0.0, 0.0, 0.0], [0.0, 0.2, 0.0, 0.0]])  # a point of H^2
+_D2 = np.array([[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])  # a unit vector of H^2
+_P3 = np.full((3, 4), 0.1)                                   # a point of H^3
+_D3 = np.full((3, 4), 0.5 / np.sqrt(3.0))                    # a unit vector of H^3
+_PHI2 = mobius.hua_new(_P2)
+_G2 = mobius.hua_matrix(_PHI2)
+_DATA2 = bc.weighted_points([_P2, -_P2])
+
+# (point argument, its value of the wrong n or None where no n is fixed)
+_SHAPE_RULE_CASES = {
+    "hua_new": (mobius.hua_new, None),
+    "hua_apply": (lambda z: mobius.hua_apply(_PHI2, z), _P3),
+    "jacobian_det": (lambda z: mobius.jacobian_det(_PHI2, z), _P3),
+    "sp_apply": (lambda z: mobius.sp_apply(_G2, z), _P3),
+    "distance-p": (lambda z: geometry.distance(z, _P2), _P3),
+    "distance-q": (lambda z: geometry.distance(_P2, z), _P3),
+    "cosh2_half_distance-x": (lambda z: geometry.cosh2_half_distance(z, _P2), _P3),
+    "cosh2_half_distance-y": (lambda z: geometry.cosh2_half_distance(_P2, z), _P3),
+    "measure_density": (geometry.measure_density, None),
+    "energy": (lambda z: bc.energy(_DATA2, z), _P3),
+    "solve-start": (lambda z: bc.solve(_DATA2, start=z), _P3),
+    "geodesic_chart-base": (lambda z: geometry.geodesic_chart(z, _D2), _P3),
+    "geodesic_chart-direction": (lambda z: geometry.geodesic_chart(_P2, z), _D3),
+    "geodesic_between-p": (lambda z: geometry.geodesic_between(z, _P2), _P3),
+    "geodesic_between-q": (lambda z: geometry.geodesic_between(_P2, z), _P3),
+    "convexity_profile-v": (lambda z: geometry.convexity_profile(z, _P2), _D3),
+    "convexity_profile-y": (lambda z: geometry.convexity_profile(_D2, z), _P3),
+    "intertwine_factor": (lambda z: mobius.intertwine_factor(_G2, z), _P3),
+    "geodesic_ball": (lambda z: regions.geodesic_ball(z, 0.5), None),
+    "euclidean_ball": (lambda z: regions.euclidean_ball(z, 0.1), None),
+}
+_BAD_SHAPES = {"0d": np.array(0.1), "3": np.full(3, 0.1), "0x4": np.zeros((0, 4)),
+               "1x8": np.full((1, 8), 0.1)}
+
+
+@pytest.mark.parametrize("case, shape", [
+    (case, shape) for case, (_, wrong_n) in _SHAPE_RULE_CASES.items()
+    for shape in [*_BAD_SHAPES, *(["wrong-n"] if wrong_n is not None else [])]])
+def test_point_arguments_follow_one_shape_rule(case, shape):
+    fn, wrong_n = _SHAPE_RULE_CASES[case]
+    with pytest.raises(DimensionMismatch):
+        fn(wrong_n if shape == "wrong-n" else _BAD_SHAPES[shape])
+
+
+def test_hvectors_shapes():
+    assert q.hvectors([1.0, 0.0, 0.0, 0.0]).shape == (1, 4)
+    assert q.hvectors(np.zeros((5, 2, 3, 4)), 3).shape == (5, 2, 3, 4)
+    assert q.hvector(np.zeros((3, 4)), 3).shape == (3, 4)
+    with pytest.raises(DimensionMismatch):
+        q.hvector(np.zeros((2, 3, 4)))

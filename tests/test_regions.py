@@ -88,8 +88,35 @@ def test_empty_region_and_bad_count():
     with pytest.raises(EmptyRegion):
         regions.sample_region(never, 1000, seed=0)
     spec = regions.geodesic_ball(E1, 1.0)
-    with pytest.raises(QhbError):
-        regions.sample_region(spec, 0, seed=0)
+    for count, seed in ((0, 0), (True, 0), (1000.5, 0), (1000, -1), (1000, 2**64),
+                        (1000, 3.0), (1000, False)):
+        with pytest.raises(QhbError):
+            regions.sample_region(spec, count, seed)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**32 + 5, 2**63 - 1])
+def test_sampler_stream_is_keyed_by_seed_and_chunk(seed):
+    # every proposal of a box inside the ball is accepted, so the sample is
+    # the box-scaled stream of Philox keyed by (seed, chunk index), chunk 1 too
+    lo, hi = np.full(4, -0.4), np.full(4, 0.4)
+    spec = regions.indicator_region(lambda p: np.ones(len(p), bool), 1, box=(lo, hi))
+    sizes = (regions.CHUNK, 50)
+    got = regions.sample_region(spec, sum(sizes), seed).samples.points.reshape(-1, 4)
+    parts = []
+    for index, size in enumerate(sizes):
+        flat = np.random.Generator(np.random.Philox(key=[seed, index])).random((size, 4))
+        flat *= hi - lo
+        flat += lo
+        parts.append(flat)
+    assert np.array_equal(got, np.concatenate(parts))
+
+
+def test_sampler_seeds_above_2_63_are_distinct():
+    spec = regions.geodesic_ball(E1, 1.0)
+    a = regions.sample_region(spec, 2000, 2**63)
+    b = regions.sample_region(spec, 2000, 2**63 + 1000)
+    assert not np.array_equal(a.samples.points, b.samples.points)
+    assert regions.sample_region(spec, 2000, 2**64 - 1).count_accepted > 0
 
 
 def test_euclidean_half_ball_is_geodesic_ball_ln3():
