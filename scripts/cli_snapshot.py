@@ -55,6 +55,7 @@ COMMANDS = (
         ["region-barycenter", "geodesic_ball_n2.json", "--samples", "1000", "--seed", "-1"],
         ["verify", "--seed", "0", "--trials", "2000"],
         ["verify", "--seed", "3", "--trials", "2000"],
+        ["verify", "--seed", "0", "--trials", "-3"],
     ]
 )
 

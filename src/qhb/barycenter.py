@@ -110,8 +110,6 @@ def weighted_points(points, weights=None) -> WeightedPoints:
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 2:
         pts = pts[:, None, :] if pts.shape[-1] == 4 else pts
-    if pts.size == 0:
-        raise EmptyData("no points given")
     if weights is None:
         weights = np.ones(pts.shape[0])
     return WeightedPoints(points=pts, weights=np.asarray(weights, dtype=float))
@@ -152,28 +150,16 @@ class SolverResult:
         return self.stop_reason == "converged"
 
 
-def _energy_batch(data: WeightedPoints, xs: np.ndarray) -> np.ndarray:
-    """Energies at a batch of probe points xs of shape (..., n, 4).  The
-    weighted log sum is an einsum, as in _sweep, so the energy does not
-    depend on the BLAS thread count."""
-    xs = mobius.ball_points(xs, data.n)
-    x2 = q.vnorm2(xs)
-    num2 = q.qnorm2(q.ONE - q.inner(xs[..., None, :, :], data.points))
-    w_log = np.einsum("...i,i->...", np.log(num2), data.weights)
-    return w_log - data.total_weight * np.log1p(-x2) - data._log_const
-
-
 def energy(data: WeightedPoints, x) -> float:
-    """G(x) = sum_i w_i log cosh^2(d(x, q_i)/2) >= 0."""
-    return float(_energy_batch(data, q.hvector(x)))
+    """G(x) = sum_i w_i log cosh^2(d(x, q_i)/2) >= 0, as the solver's
+    sweep evaluates it."""
+    return _sweep(data, mobius.ball_points(q.hvector(x), data.n))[2]
 
 
 def residual(data: WeightedPoints, c) -> np.ndarray:
     """R(c) = sum_i w_i Phi_c(q_i), a vector in H^n; zero exactly at the
-    barycenter."""
-    phi = mobius.hua_new(c)
-    mapped = mobius.hua_apply(phi, data.points)
-    return np.einsum("i,ijk->jk", data.weights, mapped)
+    barycenter.  The solver's sweep evaluates it."""
+    return _sweep(data, mobius.ball_points(q.hvector(c), data.n))[0]
 
 
 def _initial_point(data: WeightedPoints) -> np.ndarray:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
@@ -205,9 +206,9 @@ def cmd_energy(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.trials <= 0:
-        print("warning: --trials 0 runs no checks (vacuous pass)", file=sys.stderr)
     results = verify.run_all(args.seed, args.trials)
+    if args.trials == 0:
+        print("warning: --trials 0 runs no checks (vacuous pass)", file=sys.stderr)
     for r in results:
         status = "pass" if r.passed else "FAIL"
         note = f"  [{r.note}]" if r.note else ""
@@ -222,13 +223,15 @@ def cmd_verify(args) -> int:
             "trials": args.trials,
             "all_passed": ok,
             "checks": [
-                {"name": r.name, "trials": r.trials, "max_error": r.max_error,
-                 "tolerance": r.tolerance, "passed": r.passed}
+                # a crashed check's inf, or a NaN, has no strict-JSON literal
+                {"name": r.name, "trials": r.trials,
+                 "max_error": r.max_error if math.isfinite(r.max_error) else None,
+                 "tolerance": r.tolerance, "passed": r.passed, "note": r.note}
                 for r in results
             ],
         }
         with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
+            json.dump(report, fh, indent=2, allow_nan=False)
     return 0 if ok else 1
 
 

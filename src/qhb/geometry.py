@@ -24,10 +24,13 @@ def distance(p, q_point) -> np.ndarray:
 
     p may carry leading batch axes; q_point is a single point.
     """
-    p = mobius.ball_points(p)
     phi = mobius.hua_new(q_point)
-    m = q.vnorm(mobius.hua_apply(phi, p))
-    return 2.0 * np.arctanh(m)
+    p = mobius.ball_points(p, phi.n)
+    flat = p.reshape(-1, 4 * phi.n)
+    m2 = np.empty(flat.shape[0])
+    for rows, mapped, _ in mobius._hua_blocks(phi.u, flat):
+        m2[rows] = q.vnorm2(mapped.reshape(-1, phi.n, 4))
+    return 2.0 * np.arctanh(np.sqrt(m2).reshape(p.shape[:-2]))
 
 
 def cosh2_half_distance(x, y) -> np.ndarray:
@@ -72,6 +75,9 @@ def geodesic_chart(base, direction) -> GeodesicChart:
     if not np.all(np.isfinite(direction)):
         raise NonFinite("direction must be finite")
     dn = float(q.vnorm(direction))
+    if not math.isfinite(dn):  # |direction|^2 overflowed: rescale first
+        direction = direction / np.max(np.abs(direction))
+        dn = float(q.vnorm(direction))
     if dn < _COINCIDENT:
         raise DegenerateGeodesic("zero direction")
     return GeodesicChart(phi=phi, direction=direction / dn)

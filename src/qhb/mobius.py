@@ -79,8 +79,8 @@ def hua_new(u) -> HuaInvolution:
 
 _E = np.eye(4)
 _QMUL = q.qmul(_E[:, None], _E[None, :])  # _QMUL[a, b] = e_a e_b, e = (1, i, j, k)
-# Every pass over many points (hua_apply, the solver's sweep) runs the
-# kernel on the blocks of _hua_blocks, at most _BLOCK // n rows each, so
+# Every pass over many points (hua_apply, the solver's sweep, distance)
+# runs the kernel on the blocks of _hua_blocks, at most _BLOCK // n rows, so
 # each GEMM has 16 * _BLOCK multiply-adds, below the 4 * 65536 up to which
 # OpenBLAS stays on the calling thread: a threaded GEMM wakes worker threads
 # that spin on the other cores, and on a loaded machine each call waits.

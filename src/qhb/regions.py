@@ -13,7 +13,7 @@ Sampling is chunked; each chunk draws from a counter-based generator
 keyed by (seed, chunk index), so results are bit-identical for a fixed
 (spec, count, seed) regardless of how many worker threads run the
 chunks.  The thread count is capped by the QHB_THREADS environment
-variable (0 or unset = auto).
+variable (0 or unset = auto), which must be an integer >= 0.
 """
 
 from __future__ import annotations
@@ -136,14 +136,15 @@ class SampleSet:
 
 
 def _worker_threads() -> int:
+    """QHB_THREADS, or min(8, CPU count) when it is unset or 0."""
     raw = os.environ.get("QHB_THREADS", "0")
     try:
         v = int(raw)
     except ValueError:
-        v = 0
-    if v <= 0:
-        v = min(8, os.cpu_count() or 1)
-    return v
+        v = -1
+    if v < 0:
+        raise QhbError(f"QHB_THREADS must be an integer >= 0, got {raw!r}")
+    return v or min(8, os.cpu_count() or 1)
 
 
 def _sample_chunk(spec: RegionSpec, seed: int, index: int, size: int) -> np.ndarray:
@@ -175,7 +176,7 @@ def sample_region(spec: RegionSpec, count: int, seed: int) -> SampleSet:
             parts = list(pool.map(lambda j: _sample_chunk(spec, seed, j[0], j[1]), jobs))
     else:
         parts = [_sample_chunk(spec, seed, k, m) for k, m in jobs]
-    accepted = np.concatenate(parts, axis=0) if parts else np.zeros((0, spec.n, 4))
+    accepted = np.concatenate(parts, axis=0)
     if accepted.shape[0] == 0:
         raise EmptyRegion(f"no proposals accepted out of {count}")
 

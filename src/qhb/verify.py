@@ -320,6 +320,18 @@ def check_convexity_positive(rng, trials: int):
 # barycenter and sampling
 
 
+def _energy_batch(data: barycenter.WeightedPoints, xs) -> np.ndarray:
+    """Energies at a batch of probe points xs (..., n, 4) from the Poisson
+    form G(x) = sum_i w_i log(|1 - <x,q_i>|^2 / ((1-|x|^2)(1-|q_i|^2))),
+    by quaternion products apart from the Hua kernel that barycenter.energy
+    runs: the checks' independent reference for G.  The weighted log sum
+    is an einsum, so the energy does not depend on the BLAS thread count."""
+    xs = mobius.ball_points(xs, data.n)
+    num2 = q.qnorm2(q.ONE - q.inner(xs[..., None, :, :], data.points))
+    w_log = np.einsum("...i,i->...", np.log(num2), data.weights)
+    return w_log - data.total_weight * np.log1p(-q.vnorm2(xs)) - data._log_const
+
+
 def gradient_check(data: barycenter.WeightedPoints, c) -> float:
     """Max componentwise gap between a five-point finite difference of
     G_c at 0, with spacing 1e-5, and the closed form -2 R(c)."""
@@ -330,7 +342,7 @@ def gradient_check(data: barycenter.WeightedPoints, c) -> float:
     basis = np.eye(4 * n).reshape(4 * n, n, 4)
     offsets = np.array([-2.0, -1.0, 1.0, 2.0]) * step
     probes = offsets[None, :, None, None] * basis[:, None, :, :]  # (4n, 4, n, 4)
-    e = barycenter._energy_batch(data, mobius.hua_apply(phi, probes))
+    e = _energy_batch(data, mobius.hua_apply(phi, probes))
     fd = (e[:, 0] - 8.0 * e[:, 1] + 8.0 * e[:, 2] - e[:, 3]) / (12.0 * step)
     return float(np.max(np.abs(fd - target)))
 
@@ -376,7 +388,7 @@ def check_energy_convex_geodesic(rng, trials: int):
         data = random_weighted_points(rng, n, 6)
         chart = geometry.geodesic_chart(random_ball_point(rng, n, rmax=0.5),
                                         random_unit_vector(rng, n))
-        vals = barycenter._energy_batch(data, geometry.geodesic_point(chart, tgrid))
+        vals = _energy_batch(data, geometry.geodesic_point(chart, tgrid))
         second = vals[:-2] - 2.0 * vals[1:-1] + vals[2:]
         yield -second
 
@@ -468,7 +480,9 @@ def run_check(check: Check, seed: int, trials: int, stream: int = 0) -> CheckRes
 
 
 def run_all(seed: int, trials: int) -> list[CheckResult]:
-    """Run every registered check; empty list when trials == 0."""
-    if trials <= 0:
+    """Run every registered check; empty list when trials == 0, QhbError
+    when trials < 0."""
+    barycenter._check_int("trials", trials, 0)
+    if trials == 0:
         return []
     return [run_check(c, seed, trials, stream=i) for i, c in enumerate(CHECKS)]

@@ -61,6 +61,15 @@ def test_weighted_points_reject_non_finite(coord, weight):
                           weights=np.array([1.0, weight]))
 
 
+def test_weighted_points_leaves_shapes_to_weighted_points_class():
+    with pytest.raises(DimensionMismatch):
+        bc.weighted_points(np.zeros((3, 0, 4)))
+    with pytest.raises(DimensionMismatch):
+        bc.weighted_points(np.zeros((3, 1, 0)))
+    with pytest.raises(EmptyData):
+        bc.weighted_points(np.zeros((0, 4)))
+
+
 def test_weighted_points_defaults():
     data = bc.weighted_points(pt(0.1, 0.2))
     assert data.size == 2 and data.n == 1
@@ -268,9 +277,10 @@ def test_solver_start_outside_ball():
 
 
 def test_sweep_matches_independent_code(rng):
-    # the sweep and the chart step against energy() and the projective
-    # action of the Hua matrix, a qmul code path apart from the Hua kernel
-    # that residual() and hua_apply share with the sweep
+    # the sweep and the chart step against the Poisson-form energy of
+    # verify and the projective action of the Hua matrix, qmul code paths
+    # apart from the Hua kernel that energy(), residual() and hua_apply
+    # share with the sweep
     for n in (1, 2, 3, 4):
         big = 3 * (mobius._BLOCK // n) + 1  # the sweep sums over four blocks
         for size in (1, 2, 7, big):
@@ -285,7 +295,7 @@ def test_sweep_matches_independent_code(rng):
             mapped = mapped.reshape(size, 4 * n)
             assert np.max(np.abs(r_vec - ref_r)) <= 1e-13
             assert rn == pytest.approx(float(np.linalg.norm(ref_r)), abs=1e-13)
-            assert e == pytest.approx(bc.energy(data, c), abs=1e-12)
+            assert e == pytest.approx(verify._energy_batch(data, c), abs=1e-12)
             ref_gram = mapped.T @ (data.weights[:, None] * mapped)
             assert np.max(np.abs(gram - ref_gram)) <= 1e-13
             # the rounding scale is the size of G's three terms
@@ -298,6 +308,25 @@ def test_sweep_matches_independent_code(rng):
             step = bc._hua_rows(c, x.reshape(1, -1))[0].reshape(n, 4)
             assert np.max(np.abs(step - mobius.projective_apply(hua, x))) <= 1e-13
 
+
+
+def test_energy_and_residual_equal_what_solve_reports(rng):
+    # energy() and residual() run the solver's sweep, so at the barycenter
+    # they give its |R| and G bit for bit, sets of several blocks included.
+    # A last step accepted on |R| with an energy rise below the rounding
+    # of G's terms is recorded as no increase; G there is the one value
+    # solve does not report.
+    for n in (1, 2, 3, 4):
+        for size in (2, 7, 100, 1000, 5000, 30000):
+            data = random_weighted_points(rng, n, size)
+            res = bc.solve(data)
+            assert float(q.vnorm(bc.residual(data, res.barycenter))) == res.residual_norm
+            e = bc.energy(data, res.barycenter)
+            if res.energy_trace[-2:-1] == res.energy_trace[-1:]:
+                scale = bc._sweep(data, res.barycenter)[4]
+                assert 0.0 <= e - res.energy <= 8.0 * bc._EPS * (1.0 + abs(e) + scale)
+            else:
+                assert e == res.energy
 
 
 def test_sweep_is_independent_of_blas_threads():
@@ -372,7 +401,7 @@ def test_chart_hessian_matches_finite_difference(rng):
         dirs = np.stack([eye[:, None] + eye[None, :], eye[:, None] - eye[None, :]])
         steps = np.array([-2.0, -1.0, 0.0, 1.0, 2.0]) * h
         probes = (steps[:, None, None, None, None] * dirs).reshape(5, 2, 4 * n, 4 * n, n, 4)
-        e = bc._energy_batch(data, mobius.hua_apply(mobius.hua_new(c), probes))
+        e = verify._energy_batch(data, mobius.hua_apply(mobius.hua_new(c), probes))
         d2 = (-e[0] + 16.0 * e[1] - 30.0 * e[2] + 16.0 * e[3] - e[4]) / (12.0 * h * h)
         fd = (d2[0] - d2[1]) / 4.0
         assert np.max(np.abs(fd - hess)) <= 1e-7 * data.total_weight
@@ -493,6 +522,6 @@ def test_energy_convex_along_geodesics(rng):
         data = random_weighted_points(rng, n, 6)
         chart = geometry.geodesic_chart(random_ball_point(rng, n, rmax=0.5),
                                         random_ball_point(rng, n) / 0.9)
-        vals = bc._energy_batch(data, geometry.geodesic_point(chart, ts))
+        vals = verify._energy_batch(data, geometry.geodesic_point(chart, ts))
         second = vals[:-2] - 2 * vals[1:-1] + vals[2:]
         assert np.all(second > 0.0)

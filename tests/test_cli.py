@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qhb import barycenter as bc
-from qhb import cli
+from qhb import cli, verify
 from qhb import quaternions as q
 from qhb.errors import NotInBall
 
@@ -296,6 +296,34 @@ def test_verify_trials_zero(capsys):
     assert code == 0
     assert "vacuous" in err
     assert "0 checks" in out
+
+
+def test_verify_negative_trials_is_an_error(capsys):
+    code, out, err = run(capsys, "verify", "--trials", "-3")
+    assert code == 1
+    assert out == ""
+    assert "QhbError" in err and "trials" in err
+
+
+def test_verify_json_report_is_strict_json(capsys, tmp_path, monkeypatch):
+    def crashing(rng, trials):
+        raise RuntimeError("identity broke")
+        yield
+
+    def refuse(literal):
+        raise ValueError(f"non-standard JSON constant {literal}")
+
+    monkeypatch.setattr(verify, "CHECKS", [verify.Check("crashing", 1e-12, crashing),
+                                           verify.CHECKS[4]])
+    report_path = tmp_path / "report.json"
+    code, out, _ = run(capsys, "verify", "--trials", "20", "--json", str(report_path))
+    assert code == 1
+    assert "max_error= inf" in out and "[RuntimeError: identity broke]" in out
+    report = json.loads(report_path.read_text(), parse_constant=refuse)
+    crashed, involution = report["checks"]
+    assert crashed["max_error"] is None and crashed["passed"] is False
+    assert crashed["note"] == "RuntimeError: identity broke"
+    assert involution["max_error"] >= 0.0 and involution["note"] == ""
 
 
 def test_verify_small_run(capsys, tmp_path):

@@ -187,6 +187,19 @@ def test_geodesic_chart_rejects_bad_direction(direction, error):
         geometry.geodesic_chart(pt(0.2), direction)
 
 
+def test_geodesic_chart_with_an_overflowing_direction_norm():
+    # |direction|^2 overflows to inf; the chart still gets the unit direction
+    for big, unit in (([[1e200, 0.0, 0.0, 0.0]], [[1.0, 0.0, 0.0, 0.0]]),
+                      ([[3e300, -4e300, 0.0, 0.0]], [[0.6, -0.8, 0.0, 0.0]])):
+        chart = geometry.geodesic_chart(pt(0.1), big)
+        ref = geometry.geodesic_chart(pt(0.1), unit)
+        assert np.allclose(chart.direction, ref.direction, rtol=0.0, atol=1e-15)
+        assert np.allclose(geometry.geodesic_point(chart, 1.0), geometry.geodesic_point(ref, 1.0),
+                           rtol=0.0, atol=1e-15)
+        assert float(geometry.distance(geometry.geodesic_point(chart, 1.0), pt(0.1))) \
+            == pytest.approx(1.0, abs=1e-12)
+
+
 def test_geodesic_chart_holds_one_copy_of_its_base():
     base = pt(0.1)
     chart = geometry.geodesic_chart(base, pt(2.0))

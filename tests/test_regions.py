@@ -83,6 +83,26 @@ def test_determinism_across_thread_counts(monkeypatch):
     assert a.total_mass_estimate == b.total_mass_estimate
 
 
+@pytest.mark.parametrize("value", ["abc", "-3", "1.5", ""])
+def test_bad_thread_count_is_named(monkeypatch, value):
+    monkeypatch.setenv("QHB_THREADS", value)
+    started = []
+    monkeypatch.setattr(regions, "ThreadPoolExecutor", lambda *a, **k: started.append(a))
+    with pytest.raises(QhbError, match="QHB_THREADS"):
+        regions.sample_region(regions.geodesic_ball(E1, 1.0), 4 * regions.CHUNK, seed=0)
+    assert started == []
+
+
+def test_unset_or_zero_thread_count_is_auto(monkeypatch):
+    monkeypatch.delenv("QHB_THREADS", raising=False)
+    auto = regions._worker_threads()
+    assert auto >= 1
+    monkeypatch.setenv("QHB_THREADS", "0")
+    assert regions._worker_threads() == auto
+    monkeypatch.setenv("QHB_THREADS", "3")
+    assert regions._worker_threads() == 3
+
+
 def test_empty_region_and_bad_count():
     never = regions.indicator_region(lambda p: np.zeros(len(p), bool), 1)
     with pytest.raises(EmptyRegion):
