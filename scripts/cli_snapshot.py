@@ -44,6 +44,7 @@ COMMANDS = (
         ["volume", "--rho", "0.7", "--dim", "3"],
         ["volume", "--dim", "0", "--rho", "1"],
         ["volume", "--rho", "-1", "--dim", "1"],
+        ["region-barycenter", "geodesic_ball_n1.json", "--samples", "1048576", "--seed", "3"],
         ["region-barycenter", "geodesic_ball_n2.json", "--samples", "1048576", "--seed", "3"],
         ["region-barycenter", "euclidean_ball_n1.json", "--samples", "200000", "--seed", "3"],
         ["barycenter", "null_weight.json"],

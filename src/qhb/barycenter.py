@@ -140,7 +140,7 @@ class SolverConfig:
 class SolverResult:
     barycenter: np.ndarray  # (n, 4)
     residual_norm: float
-    energy: float
+    energy: float             # G(barycenter)
     iterations: int
     stop_reason: str          # "converged", "max_iters" or "stalled"
     energy_trace: tuple = ()  # energy after the initial point and each accepted step
@@ -246,7 +246,8 @@ def solve(data: WeightedPoints, config: SolverConfig | None = None,
     total = data.total_weight
     c = _initial_point(data) if start is None else mobius.ball_points(q.hvector(start), data.n).copy()
 
-    r_vec, rn, e_c, gram, e_scale = _sweep(data, c)
+    r_vec, rn, g_c, gram, e_scale = _sweep(data, c)
+    e_c = g_c  # G(c) as energy_trace records it: a no-increase step keeps the last record
     trace = [e_c]
     iterations = 0
     while True:
@@ -264,7 +265,8 @@ def solve(data: WeightedPoints, config: SolverConfig | None = None,
         eta = cfg.step
         while True:
             cand = _hua_rows(c, eta * x.reshape(1, -1))[0].reshape(c.shape)
-            r_new, rn_new, e_new, gram_new, scale_new = _sweep(data, cand)
+            r_new, rn_new, g_new, gram_new, scale_new = _sweep(data, cand)
+            e_new = g_new
             if not cfg.line_search or e_new < e_c:
                 break
             if e_new <= e_c + e_floor and rn_new < rn:
@@ -276,14 +278,15 @@ def solve(data: WeightedPoints, config: SolverConfig | None = None,
         if eta < _ETA_FLOOR:
             stop_reason = "stalled"  # no acceptable step exists in this chart
             break
-        c, r_vec, rn, e_c, gram, e_scale = cand, r_new, rn_new, e_new, gram_new, scale_new
+        c, r_vec, rn, e_c, g_c = cand, r_new, rn_new, e_new, g_new
+        gram, e_scale = gram_new, scale_new
         trace.append(e_c)
         iterations += 1
 
     return SolverResult(
         barycenter=np.asarray(c, dtype=float),
         residual_norm=rn,
-        energy=e_c,
+        energy=g_c,
         iterations=iterations,
         stop_reason=stop_reason,
         energy_trace=tuple(trace),

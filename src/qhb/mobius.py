@@ -43,22 +43,31 @@ class HuaInvolution:
     s: float = field(init=False)  # sqrt(1 - |u|^2)
 
     def __post_init__(self):
-        u = ball_points(q.hvector(self.u)).copy()
+        u = q.hvector(self.u).copy()
+        s = math.sqrt(1.0 - float(_ball_norm2(u)))
         u.flags.writeable = False
         object.__setattr__(self, "u", u)
-        object.__setattr__(self, "s", float(np.sqrt(1.0 - q.vnorm2(u))))
+        object.__setattr__(self, "s", s)
 
     @property
     def n(self) -> int:
         return self.u.shape[0]
 
 
-def ball_points(z, n: int | None = None) -> np.ndarray:
-    """z shaped by quaternions.hvectors, as points of the open ball: the one
-    check of |z| < 1 (NaN fails it, with NotInBall), made by all but hua_apply."""
-    z = q.hvectors(z, n)
-    if not (q.vnorm2(z) < 1.0).all():
+def _ball_norm2(z: np.ndarray) -> np.ndarray:
+    """|z|^2 of points z (..., n, 4), after the one check of |z| < 1 (NaN
+    fails it, with NotInBall); HuaInvolution keeps it to derive s."""
+    z2 = q.vnorm2(z)
+    if not (z2 < 1.0).all():
         raise NotInBall("point outside the open unit ball")
+    return z2
+
+
+def ball_points(z, n: int | None = None) -> np.ndarray:
+    """z shaped by quaternions.hvectors, as points of the open ball: the
+    check of |z| < 1 made by all but hua_apply."""
+    z = q.hvectors(z, n)
+    _ball_norm2(z)
     return z
 
 
@@ -79,12 +88,21 @@ def hua_new(u) -> HuaInvolution:
 
 _E = np.eye(4)
 _QMUL = q.qmul(_E[:, None], _E[None, :])  # _QMUL[a, b] = e_a e_b, e = (1, i, j, k)
-# Every pass over many points (hua_apply, the solver's sweep, distance)
-# runs the kernel on the blocks of _hua_blocks, at most _BLOCK // n rows, so
-# each GEMM has 16 * _BLOCK multiply-adds, below the 4 * 65536 up to which
-# OpenBLAS stays on the calling thread: a threaded GEMM wakes worker threads
-# that spin on the other cores, and on a loaded machine each call waits.
+# Every pass over many points (hua_apply, the solver's sweep, distance, the
+# geodesic-ball sampler's inner products) runs on the blocks of _blocks, at
+# most _BLOCK // n rows, so each GEMM has 16 * _BLOCK multiply-adds, below
+# the 4 * 65536 up to which OpenBLAS stays on the calling thread: a threaded
+# GEMM wakes worker threads that spin on the other cores, and on a loaded
+# machine each call waits.
 _BLOCK = 8192
+
+
+def _inner_matrix(c: np.ndarray) -> np.ndarray:
+    """The real (4n, 4) matrix of z -> <z, c>: flat @ _inner_matrix(c) is
+    <z, c> for the rows of flat (M, 4n), each a point of H^n.  The kernel
+    and the geodesic-ball sampler's membership test (_sinh2_rows) both take
+    <., c> here."""
+    return (q.qconj(c) @ _QMUL.reshape(4, 16)).reshape(4 * c.shape[0], 4)
 
 
 def _hua_rows(c: np.ndarray, flat: np.ndarray):
@@ -98,9 +116,8 @@ def _hua_rows(c: np.ndarray, flat: np.ndarray):
     n = c.shape[0]
     m = flat.shape[0]
     s = math.sqrt(1.0 - float(q.vnorm2(c)))
-    m_in = (q.qconj(c) @ _QMUL.reshape(4, 16)).reshape(4 * n, 4)
     m_out = (c @ _QMUL.reshape(4, 16)).reshape(n, 4, 4).transpose(1, 0, 2).reshape(4, 4 * n)
-    ip = flat @ m_in                        # <z, c>, (M, 4)
+    ip = flat @ _inner_matrix(c)            # <z, c>, (M, 4)
     num = ip @ m_out                        # (c_j <z, c>)_j, (M, 4n)
     num /= -(1.0 + s)
     num += c.reshape(-1)
@@ -119,16 +136,35 @@ def _hua_rows(c: np.ndarray, flat: np.ndarray):
     return out.reshape(m, 4 * n), den2
 
 
+def _blocks(m: int, n: int) -> list:
+    """The k slices of equal size, in order, that cover m rows of points of
+    H^n, each of at most _BLOCK // n rows: the one partition of a pass over
+    many points, so that no temporary is sized to the whole set and each
+    GEMM stays on the calling thread."""
+    k = max(1, -(-m // (_BLOCK // n)))
+    return [slice(m * i // k, m * (i + 1) // k) for i in range(k)]
+
+
 def _hua_blocks(c: np.ndarray, flat: np.ndarray):
-    """Yield (rows, Phi_c(flat[rows]), |1 - <z,c>|^2) for the k blocks of
-    equal size, in order, that cover the rows of flat (M, 4n): the one
-    partition of a pass over many points, so that no temporary is sized
-    to the whole set and each GEMM stays on the calling thread."""
-    m = flat.shape[0]
-    k = max(1, -(-m // (_BLOCK // c.shape[0])))
-    for i in range(k):
-        rows = slice(m * i // k, m * (i + 1) // k)
+    """Yield (rows, Phi_c(flat[rows]), |1 - <z,c>|^2) for the blocks of
+    _blocks that cover the rows of flat (M, 4n), in order."""
+    for rows in _blocks(flat.shape[0], c.shape[0]):
         yield (rows, *_hua_rows(c, flat[rows]))
+
+
+def _sinh2_rows(c: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """sinh^2(d(z,c)/2) (1 - |z|^2)(1 - |c|^2) for the rows z of flat
+    (M, 4n), as (1 - |c|^2)|z - c|^2 + |<z - c, c>|^2: a sum of squares,
+    so nothing cancels for z near c, from one product with
+    _inner_matrix(c) per block of _blocks; no Phi_c is formed."""
+    n = c.shape[0]
+    m_in = _inner_matrix(c)
+    s2 = 1.0 - float(q.vnorm2(c))
+    out = np.empty(flat.shape[0])
+    for rows in _blocks(flat.shape[0], n):
+        delta = flat[rows] - c.reshape(-1)
+        out[rows] = q.qnorm2(delta @ m_in) + s2 * q.vnorm2(delta.reshape(-1, n, 4))
+    return out
 
 
 def hua_apply(phi: HuaInvolution, z) -> np.ndarray:

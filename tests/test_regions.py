@@ -139,6 +139,69 @@ def test_sampler_seeds_above_2_63_are_distinct():
     assert regions.sample_region(spec, 2000, 2**64 - 1).count_accepted > 0
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_geodesic_sampler_accepts_the_metric_ball(n):
+    # the Poisson-form test keeps exactly the proposals of the regenerated
+    # chunk streams with |z|^2 < MAX_NORM2 and d(z, c) < rho, and exactly
+    # the points placed on geodesics from c at arc lengths in (0, 2 rho)
+    # with d(z, c) < rho; points at rho (1 -+ margin) fall inside and
+    # outside, the margin 1e-9 widened by the few-ulp error of a point
+    # placed near c (1e-14 / rho)
+    rng = np.random.default_rng(n)
+    unit = rng.standard_normal((n, 4))
+    unit /= np.linalg.norm(unit)
+    sizes = (regions.CHUNK, 50)
+    for norm in (0.0, 0.5, 0.9):
+        center = norm * unit
+        charts = [geometry.geodesic_chart(center, d) for d in rng.standard_normal((20, n, 4))]
+        for rho in (1e-9, 1e-6, 0.3, 1.5, 3.0, 1e3):
+            spec = regions.geodesic_ball(center, rho)
+            parts = []
+            for index, size in enumerate(sizes):
+                flat = np.random.Generator(np.random.Philox(key=[11, index])).random((size, 4 * n))
+                flat *= spec.box_hi - spec.box_lo
+                flat += spec.box_lo
+                pts = flat.reshape(size, n, 4)
+                pts = pts[q.vnorm2(pts) < bc.MAX_NORM2]
+                parts.append(pts[geometry.distance(pts, center) < rho])
+            want = np.concatenate(parts)
+            if want.shape[0]:
+                got = regions.sample_region(spec, sum(sizes), 11).samples.points
+                assert np.array_equal(got, want), (norm, rho)
+            else:
+                with pytest.raises(EmptyRegion):
+                    regions.sample_region(spec, sum(sizes), 11)
+            if rho > 3.0:
+                continue
+            near = np.concatenate([geometry.geodesic_point(ch, rho * rng.uniform(0.0, 2.0, 50))
+                                   for ch in charts])
+            got = regions._contains(spec, near)
+            assert np.array_equal(got, near[geometry.distance(near, center) < rho]), (norm, rho)
+            margin = 1e-9 + 1e-14 / rho
+            inside = np.array([geometry.geodesic_point(ch, rho * (1.0 - margin)) for ch in charts])
+            outside = np.array([geometry.geodesic_point(ch, rho * (1.0 + margin)) for ch in charts])
+            assert np.array_equal(regions._contains(spec, inside), inside), (norm, rho)
+            assert regions._contains(spec, outside).shape[0] == 0, (norm, rho)
+
+
+def test_geodesic_ball_past_every_kept_proposal_keeps_them_all():
+    # a radius beyond d(0, c) + d(0, z) for every kept z, up to the largest
+    # float, keeps every proposal with |z|^2 < MAX_NORM2, also for a center
+    # at |c|^2 = 1 - 2^-53, the nearest float to the sphere
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(-1.0, 1.0, (4096, 1, 4))
+    pts[:4, 0, 0] = np.nextafter(np.sqrt(bc.MAX_NORM2), 0.0) * np.array([1.0, -1.0, 1.0, -1.0])
+    pts[:4, 0, 1:] = 0.0
+    want = pts[q.vnorm2(pts) < bc.MAX_NORM2]
+    edge = np.sqrt(np.nextafter(1.0, 0.0))
+    while edge * edge >= 1.0:
+        edge = np.nextafter(edge, 0.0)
+    for c0 in (0.0, 0.9, edge):
+        for rho in (1e2, 1e3, 1e300):
+            spec = regions.geodesic_ball([[c0, 0.0, 0.0, 0.0]], rho)
+            assert np.array_equal(regions._contains(spec, pts.copy()), want), (c0, rho)
+
+
 def test_euclidean_half_ball_is_geodesic_ball_ln3():
     # Euclidean ball |q| < 1/2 equals the metric ball of radius log 3
     spec = regions.euclidean_ball(ORIGIN1, 0.5)
