@@ -34,8 +34,8 @@ _POINT_SETS = ["two_points.json", "four_points.json", "three_points_n2.json"]
 
 COMMANDS = (
     [["barycenter", f] for f in _POINT_SETS]
-    + [["barycenter", f, "--no-line-search", "--step", "0.5"] for f in _POINT_SETS]
     + [
+        ["barycenter", "two_points.json", "--step", "0.5"],
         ["energy", "two_points.json", "--at", "0.1"],
         ["energy", "three_points_n2.json", "--at", "[[0.1, 0, 0, 0], [0, 0.2, 0, 0]]"],
         ["distance", "[0.1, 0.2, 0, 0]", "[-0.3, 0, 0.1, 0]"],

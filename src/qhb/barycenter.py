@@ -123,14 +123,10 @@ def _check_int(name: str, v, lo: int, hi: float = math.inf) -> None:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    step: float = 1.0        # chart step eta in (0, 1]
     max_iters: int = 500
     tol: float = 1e-12       # residual norm per unit weight
-    line_search: bool = True
 
     def __post_init__(self):
-        if not (0.0 < self.step <= 1.0):
-            raise QhbError(f"step must be in (0, 1], got {self.step}")
         _check_int("max_iters", self.max_iters, 1)
         if not (math.isfinite(self.tol) and self.tol > 0.0):
             raise QhbError(f"tol must be positive and finite, got {self.tol}")
@@ -262,24 +258,18 @@ def solve(data: WeightedPoints, config: SolverConfig | None = None,
         # make up G are invisible in float64, so steps in that regime are
         # judged on the residual instead
         e_floor = 8.0 * _EPS * (1.0 + abs(e_c) + e_scale)
-        eta = cfg.step
-        while True:
+        eta = 1.0
+        while eta >= _ETA_FLOOR:
             cand = _hua_rows(c, eta * x.reshape(1, -1))[0].reshape(c.shape)
             r_new, rn_new, g_new, gram_new, scale_new = _sweep(data, cand)
-            e_new = g_new
-            if not cfg.line_search or e_new < e_c:
-                break
-            if e_new <= e_c + e_floor and rn_new < rn:
-                e_new = e_c  # recorded as no increase
+            if g_new < e_c or (g_new <= e_c + e_floor and rn_new < rn):
                 break
             eta *= 0.5
-            if eta < _ETA_FLOOR:
-                break
-        if eta < _ETA_FLOOR:
+        else:
             stop_reason = "stalled"  # no acceptable step exists in this chart
             break
-        c, r_vec, rn, e_c, g_c = cand, r_new, rn_new, e_new, g_new
-        gram, e_scale = gram_new, scale_new
+        c, r_vec, rn, g_c, gram, e_scale = cand, r_new, rn_new, g_new, gram_new, scale_new
+        e_c = min(e_c, g_c)  # a step within the rounding is recorded as no increase
         trace.append(e_c)
         iterations += 1
 

@@ -2,7 +2,8 @@
 
 Subcommands: barycenter, region-barycenter, volume, distance, energy,
 verify.  All I/O is JSON with round-trip-safe number formatting; exit
-codes are 0 (success), 1 (bad input), 2 (solver did not converge).
+codes are 0 (success), 1 (bad input, a usage error too), 2 (solver did
+not converge).
 
 JSON wire format: a quaternion is the array [w, x, y, z]; a vector in
 H^n is an array of n such arrays.  Every field is read through _field,
@@ -130,10 +131,7 @@ def sp_from_json(obj) -> mobius.SpMatrix:
 
 
 def _solver_config(args) -> barycenter.SolverConfig:
-    return barycenter.SolverConfig(
-        step=args.step, max_iters=args.max_iters, tol=args.tol,
-        line_search=not args.no_line_search,
-    )
+    return barycenter.SolverConfig(max_iters=args.max_iters, tol=args.tol)
 
 
 def _result_fields(res: barycenter.SolverResult) -> dict:
@@ -236,11 +234,9 @@ def cmd_verify(args) -> int:
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--step", type=float, default=1.0, help="chart step in (0,1]")
     p.add_argument("--max-iters", type=int, default=500)
     p.add_argument("--tol", type=float, default=1e-12,
                    help="residual norm per unit weight")
-    p.add_argument("--no-line-search", action="store_true")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -287,7 +283,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed its usage error (its exit code 2, which here
+        # means "did not converge") or the --help text (exit code 0)
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except QhbError as exc:

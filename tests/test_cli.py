@@ -58,7 +58,7 @@ def test_barycenter_two_weighted(capsys, two_weighted_file):
     payload = json.loads(out)
     assert payload["converged"] is True
     assert abs(payload["barycenter"][0][0] - 2 / 7) <= 1e-10
-    assert payload["config"]["tol"] == 1e-12
+    assert payload["config"] == {"max_iters": 500, "tol": 1e-12}
 
 
 def test_barycenter_symmetric(capsys, four_symmetric_file):
@@ -172,17 +172,22 @@ def test_malformed_field_is_named(capsys, tmp_path, command, text, field):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("flags, step, line_search", [
-    (["--no-line-search"], 1.0, False),
-    (["--step", "0.5"], 0.5, True),
-], ids=["no-line-search", "half-step"])
-def test_solver_knobs_reach_two_sevenths(capsys, two_weighted_file, flags, step, line_search):
-    code, out, _ = run(capsys, "barycenter", two_weighted_file, *flags)
-    payload = json.loads(out)
-    assert code == 0 and payload["converged"] is True
-    assert abs(payload["barycenter"][0][0] - 2 / 7) <= 1e-10
-    assert payload["config"]["step"] == step
-    assert payload["config"]["line_search"] is line_search
+@pytest.mark.parametrize("argv", [
+    ("barycenter", "{file}", "--step", "0.5"),
+    ("barycenter", "{file}", "--no-line-search"),
+    ("barycenter", "{file}", "--max-iters", "abc"),
+    ("volume", "--rho", "1"),
+], ids=["removed-step", "removed-no-line-search", "bad-max-iters", "missing-dim"])
+def test_usage_error_exits_one(capsys, two_weighted_file, argv):
+    # exit code 2 means "did not converge"; a flag argparse rejects is bad input
+    code, out, err = run(capsys, *(a.format(file=two_weighted_file) for a in argv))
+    assert code == 1 and out == ""
+    assert "error:" in err and "Traceback" not in err
+
+
+def test_help_exits_zero(capsys):
+    code, out, _ = run(capsys, "barycenter", "--help")
+    assert code == 0 and "--max-iters" in out
 
 
 def test_exit_code_two_when_not_converged(capsys, two_weighted_file):
