@@ -57,11 +57,11 @@ class GeodesicChart:
 
     The sign makes the curve leave base toward +direction; for base = 0 it
     is exactly t -> tanh(t/2) direction.  t is arc length and t=0 maps to
-    base.
+    base.  A fan of geodesics from one base has a stack of directions.
     """
 
     phi: mobius.HuaInvolution  # Phi_base
-    direction: np.ndarray      # (n, 4), |direction| = 1
+    direction: np.ndarray      # (..., n, 4), each |direction| = 1
 
     @property
     def base(self) -> np.ndarray:  # read-only, |base| < 1
@@ -84,20 +84,27 @@ def geodesic_chart(base, direction) -> GeodesicChart:
 
 
 def geodesic_point(chart: GeodesicChart, t) -> np.ndarray:
-    """Point at arc length t; t may be an array (batch of points)."""
+    """Point at arc length t, of shape broadcast(t.shape,
+    direction.shape[:-2]) + (n, 4): t broadcasts against the leading axes
+    of a fan's directions.  An array t on a chart of one direction gives a
+    batch of points along it; on a fan of b geodesics, t of shape (T, 1)
+    gives a (T, b) grid of points, T along each."""
     t = np.asarray(t, dtype=float)
-    w = np.multiply.outer(-np.tanh(t / 2.0), chart.direction)
+    w = -np.tanh(t / 2.0)[..., None, None] * chart.direction
     return mobius.hua_apply(chart.phi, w)
 
 
 def geodesic_between(p, q_point) -> GeodesicChart:
-    """Chart based at p through q: point(d(p,q)) = q.  Midpoint = point(d/2)."""
+    """Chart based at p through q: point(d(p,q)) = q.  Midpoint = point(d/2).
+
+    q_point may be a fan of endpoints (..., n, 4); the chart's direction
+    then has that shape, and point(d(p, q_point)) returns every endpoint."""
     phi = mobius.hua_new(p)
-    m = mobius.hua_apply(phi, q.hvector(q_point))
-    mn = float(q.vnorm(m))
-    if mn < _COINCIDENT:
+    m = mobius.hua_apply(phi, q_point)
+    mn = q.vnorm(m)
+    if np.any(mn < _COINCIDENT):
         raise DegenerateGeodesic("endpoints coincide")
-    return GeodesicChart(phi=phi, direction=-m / mn)
+    return GeodesicChart(phi=phi, direction=-m / mn[..., None, None])
 
 
 # ---------------------------------------------------------------------------

@@ -233,6 +233,9 @@ def check_intertwine_offdiag(rng, trials: int):
 
 
 def check_intertwine_pointwise(rng, trials: int):
+    """U o Phi_c = Phi_{g(c)} o g on points z, U = intertwine_factor(g, c).
+    One (g, c) serves a batch of 16 points, so 2000 trials (500 after the
+    divisor) check 500 points over 32 (g, c) pairs."""
     for n, b in _batches(trials, 16):
         g = random_sp(rng, n)
         c = random_ball_point(rng, n, rmax=0.7)
@@ -264,21 +267,33 @@ def check_triangle_inequality(rng, trials: int):
 
 
 def check_distance_isometry(rng, trials: int):
-    for n, b in _batches(trials, 32):
-        g = random_sp(rng, n)
-        p = random_ball_points(rng, n, b)
-        y = random_ball_point(rng, n)
-        lhs = geometry.distance(mobius.sp_apply(g, p), mobius.sp_apply(g, y))
-        yield np.abs(lhs - geometry.distance(p, y))
+    """d(g p, g y) = d(p, y).  One isometry g and one y serve a batch of 32
+    points p, so 2000 trials check 2000 points over 63 isometries; those
+    of one dimension come from one _raw_sp call and act on every point in
+    one projective_apply."""
+    for n in (1, 2):
+        sizes = [b for m, b in _batches(trials, 32) if m == n]
+        if not sizes:
+            continue
+        gs = _raw_sp(rng, n, len(sizes))
+        ps = random_ball_points(rng, n, sum(sizes))
+        ys = random_ball_points(rng, n, len(sizes))
+        gps = mobius.projective_apply(np.repeat(gs, sizes, axis=0), ps)
+        gys = mobius.projective_apply(gs, ys)
+        cuts = np.cumsum(sizes)[:-1]
+        for p, gp, y, gy in zip(np.split(ps, cuts), np.split(gps, cuts), ys, gys):
+            yield np.abs(geometry.distance(gp, gy) - geometry.distance(p, y))
 
 
 def check_geodesic_endpoint(rng, trials: int):
-    for n, _ in _batches(trials, 1):
+    """The fan of geodesics from p through endpoints y reaches each y at
+    arc length d(y, p).  One base p serves a fan of 16 endpoints, so 2000
+    trials (500 after the divisor) check 500 (p, y) pairs from 32 bases."""
+    for n, b in _batches(trials, 16):
         p = random_ball_point(rng, n)
-        y = random_ball_point(rng, n)
+        y = random_ball_points(rng, n, b)
         chart = geometry.geodesic_between(p, y)
-        d = float(geometry.distance(y, p))
-        yield np.abs(geometry.geodesic_point(chart, d) - y)
+        yield np.abs(geometry.geodesic_point(chart, geometry.distance(y, p)) - y)
 
 
 def check_coercivity(rng, trials: int):
@@ -289,22 +304,26 @@ def check_coercivity(rng, trials: int):
 
 
 def _kernel_profile_values(v, y, t):
-    x = np.multiply.outer(np.tanh(np.asarray(t) / 2.0), v)
+    """log cosh^2(d(tanh(t/2) v, y)/2); t broadcasts against the leading
+    axes of v and y."""
+    x = np.tanh(np.asarray(t) / 2.0)[..., None, None] * v
     return np.log(geometry.cosh2_half_distance(x, y))
 
 
 def check_convexity_fd(rng, trials: int):
+    """Five-point second differences of the kernel profile against the
+    closed form at 7 values of t.  2000 trials check 285 (v, y) pairs at
+    each t, drawn in stacks of 64."""
     h = 1e-3
     tgrid = np.linspace(-3.0, 3.0, 7)
     offsets = np.array([-2.0 * h, -h, 0.0, h, 2.0 * h])
-    for n, _ in _batches(max(1, trials // len(tgrid)), 1):
-        v = random_unit_vector(rng, n)
-        y = random_ball_point(rng, n)
-        prof = geometry.convexity_profile(v, y)
-        closed = geometry.convexity_second_derivative(prof, tgrid)
-        f = _kernel_profile_values(v, y, (tgrid[:, None] + offsets[None, :]).ravel())
-        f = f.reshape(len(tgrid), len(offsets))
-        fd = (-f[:, 0] + 16.0 * f[:, 1] - 30.0 * f[:, 2] + 16.0 * f[:, 3] - f[:, 4]) / (12.0 * h * h)
+    for n, b in _batches(max(1, trials // len(tgrid)), 64):
+        v = random_unit_vectors(rng, n, b)
+        y = random_ball_points(rng, n, b)
+        closed = geometry.convexity_second_derivative(geometry.convexity_profile(v, y), tgrid)
+        f = _kernel_profile_values(v[:, None, None], y[:, None, None], tgrid[:, None] + offsets)
+        fd = (-f[..., 0] + 16.0 * f[..., 1] - 30.0 * f[..., 2] + 16.0 * f[..., 3] - f[..., 4]) \
+            / (12.0 * h * h)
         yield np.abs(closed - fd)
 
 

@@ -172,8 +172,56 @@ def test_degenerate_geodesic():
     batch = np.zeros((2, 1, 4))
     with pytest.raises(DimensionMismatch):
         geometry.geodesic_chart(batch, pt(1.0))
+    # a batch of endpoints is a fan: one chart per endpoint, stacked
+    fan = geometry.geodesic_between(pt(0.3), batch)
+    assert np.array_equal(fan.direction, np.stack([geometry.geodesic_between(pt(0.3), y).direction
+                                                   for y in batch]))
+
+
+def test_geodesic_fan_equals_the_charts_of_its_endpoints(rng):
+    # Equal to rounding, not bit for bit: hua_apply of one row takes BLAS's
+    # one-row product, whose last bit can differ from a many-row product's
+    # (the rows of a many-row product do not depend on one another).
+    eps = np.finfo(float).eps
+    for n in (1, 2, 3):
+        p = random_ball_point(rng, n)
+        ys = random_ball_points(rng, n, 6).reshape(2, 3, n, 4)
+        fan = geometry.geodesic_between(p, ys)
+        assert fan.direction.shape == (2, 3, n, 4)
+        d = geometry.distance(ys, p)
+        ends = geometry.geodesic_point(fan, d)
+        mids = geometry.geodesic_point(fan, d / 2)
+        fan_rows = geometry.geodesic_between(p, ys.reshape(6, n, 4))
+        assert np.array_equal(fan_rows.direction, fan.direction.reshape(6, n, 4))
+        ts = np.array([0.5, 1.0, 2.0])
+        grid = geometry.geodesic_point(fan_rows, ts[:, None])
+        assert grid.shape == (3, 6, n, 4)
+        for j, t in enumerate(ts):
+            assert np.allclose(grid[j], geometry.geodesic_point(fan_rows, np.full(6, t)), rtol=0.0, atol=1e-13)
+        for idx in np.ndindex(2, 3):
+            one = geometry.geodesic_between(p, ys[idx])
+            assert np.max(np.abs(fan.direction[idx] - one.direction)) <= 2.0 * eps
+            assert np.allclose(ends[idx], geometry.geodesic_point(one, d[idx]), rtol=0.0, atol=1e-13)
+            assert np.allclose(mids[idx], geometry.geodesic_point(one, d[idx] / 2), rtol=0.0, atol=1e-13)
+        assert np.max(np.abs(ends - ys)) <= 1e-10
+
+
+@pytest.mark.parametrize("t", [0.7, np.linspace(-3.0, 3.0, 9), np.linspace(-3.0, 3.0, 9)[:, None]],
+                         ids=["scalar", "T", "T-1"])
+def test_geodesic_point_of_one_direction_is_the_outer_form(rng, t):
+    chart = geometry.geodesic_chart(random_ball_point(rng, 2), random_unit_vector(rng, 2))
+    outer = np.multiply.outer(-np.tanh(np.asarray(t) / 2.0), chart.direction)
+    assert np.array_equal(geometry.geodesic_point(chart, t), mobius.hua_apply(chart.phi, outer))
+
+
+def test_geodesic_fan_rejects_a_coincident_endpoint_and_a_wrong_n(rng):
+    p = random_ball_point(rng, 2)
+    ys = random_ball_points(rng, 2, 4)
+    ys[2] = p
+    with pytest.raises(DegenerateGeodesic):
+        geometry.geodesic_between(p, ys)
     with pytest.raises(DimensionMismatch):
-        geometry.geodesic_between(pt(0.3), batch)
+        geometry.geodesic_between(p, random_ball_points(rng, 3, 4))
 
 
 @pytest.mark.parametrize("direction, error", [

@@ -112,6 +112,88 @@ def test_injected_convexity_sign_fault_is_caught(monkeypatch):
     assert result.max_error > 1e-3
 
 
+def _indexed(name):
+    return next((i, c) for i, c in enumerate(verify.CHECKS) if c.name == name)
+
+
+def _broken_geodesic_point(chart, t):
+    # tanh(t) in place of tanh(t/2): the curve runs at the wrong speed
+    w = -np.tanh(np.asarray(t, dtype=float))[..., None, None] * chart.direction
+    return qhb.mobius.hua_apply(chart.phi, w)
+
+
+def _broken_second_derivative(true):
+    return lambda profile, t: (1.0 + 1e-3) * true(profile, t)
+
+
+def _broken_distance(true):
+    # d + 1e-6 |p|^2 is not invariant under Sp(n,1)
+    return lambda p, y: true(p, y) + 1e-6 * qhb.quaternions.vnorm2(p)
+
+
+def _broken_intertwine_factor(true):
+    def broken(g, c):
+        m = np.array(true(g, c).matrix)
+        m[-1, -1] = qhb.quaternions.qconj(m[-1, -1])
+        return qhb.mobius.SpMatrix(matrix=m)
+    return broken
+
+
+@pytest.mark.parametrize("name, module, attr, make", [
+    ("geodesic_endpoint", qhb.geometry, "geodesic_point", lambda true: _broken_geodesic_point),
+    ("convexity_fd", qhb.geometry, "convexity_second_derivative", _broken_second_derivative),
+    ("distance_isometry", qhb.geometry, "distance", _broken_distance),
+    ("intertwine_pointwise", qhb.mobius, "intertwine_factor", _broken_intertwine_factor),
+], ids=["geodesic_endpoint", "convexity_fd", "distance_isometry", "intertwine_pointwise"])
+def test_injected_fault_fails_a_batched_check(monkeypatch, name, module, attr, make):
+    """Each batched check fails, by far, on a broken version of the
+    function it tests."""
+    monkeypatch.setattr(module, attr, make(getattr(module, attr)))
+    i, check = _indexed(name)
+    result = verify.run_check(check, seed=0, trials=200, stream=i)
+    assert not result.passed
+    assert result.max_error > 50.0 * result.tolerance
+
+
+def test_batched_checks_keep_their_coverage(monkeypatch):
+    """At 2000 trials: geodesic_endpoint checks 500 (p, y) pairs from 32
+    bases, convexity_fd 285 (v, y) pairs at 7 t, distance_isometry 2000
+    points over 63 isometries, intertwine_pointwise 500 points over 32
+    (g, c) pairs."""
+    calls = []
+
+    def counting(module, attr, size):
+        true = getattr(module, attr)
+
+        def wrapper(*args, **kwargs):
+            calls.append((attr, size(*args)))
+            return true(*args, **kwargs)
+        monkeypatch.setattr(module, attr, wrapper)
+
+    counting(qhb.geometry, "geodesic_between", lambda p, ys: 1)
+    counting(verify, "_raw_sp", lambda rng, n, size, *rest: size)
+    counting(qhb.mobius, "intertwine_factor", lambda g, c: 1)
+
+    def coverage(name):
+        calls.clear()
+        i, check = _indexed(name)
+        errors = list(check.fn(np.random.default_rng([0, i]), max(1, 2000 // check.divisor)))
+        drawn = {}
+        for attr, k in calls:
+            drawn[attr] = drawn.get(attr, 0) + k
+        return errors, drawn
+
+    errors, drawn = coverage("geodesic_endpoint")
+    assert sum(e.shape[0] for e in errors) == 500 and drawn == {"geodesic_between": 32}
+    errors, drawn = coverage("convexity_fd")
+    assert all(e.shape[1:] == (7,) for e in errors) and sum(e.shape[0] for e in errors) == 285
+    errors, drawn = coverage("distance_isometry")
+    assert sum(e.size for e in errors) == 2000 and drawn == {"_raw_sp": 63}
+    errors, drawn = coverage("intertwine_pointwise")
+    assert sum(e.shape[0] for e in errors) == 500
+    assert drawn == {"_raw_sp": 32, "intertwine_factor": 32}
+
+
 def _run_fake(fn):
     return verify.run_check(verify.Check("fake", 0.0, fn), seed=0, trials=10)
 
