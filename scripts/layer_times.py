@@ -1,0 +1,99 @@
+"""Time the solver's layers on fixed inputs and print one JSON object.
+
+Usage:
+
+    python scripts/layer_times.py SRC_DIR [--rounds R] [--reps K]
+
+The source tree SRC_DIR (say, a checkout of the parent commit's src and
+the working tree's src) is imported in a child process, so two trees are
+compared by running the script once for each, alternating.  Timed, each
+as the median over R rounds of the best of K calls:
+
+* `sweep n=.. N=..`: one `barycenter._sweep` (R, G and the Gram matrix of
+  a weighted set at a point) for n in {1, 2, 4} and N in {1e3, 1e4, 1e5};
+* `hua_apply block n=..`: one `mobius.hua_apply` of 8192 / n points, one
+  block of the kernel's partition;
+* `stalled solve`: `solve` at tol = 1e-300 of a five-point set at n = 2,
+  which ends "stalled"; its sweep count is reported with it.
+
+Inputs come from `verify.random_weighted_points` with fixed seeds, and
+the child runs with OPENBLAS_NUM_THREADS=min(2, nproc), as bench/run.py
+does, unless the caller set it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+
+_CHILD = r"""
+import json, sys, time
+import numpy as np
+from qhb import barycenter as bc, mobius
+from qhb.verify import random_ball_point, random_weighted_points
+
+rounds, reps = int(sys.argv[1]), int(sys.argv[2])
+
+
+def timed(fn):
+    meds = []
+    for _ in range(rounds):
+        best = float("inf")
+        for _ in range(reps):
+            t = time.perf_counter()
+            fn()
+            best = min(best, time.perf_counter() - t)
+        meds.append(best)
+    return 1e3 * float(np.median(meds))
+
+
+out = {}
+for n in (1, 2, 4):
+    for size in (1000, 10000, 100000):
+        data = random_weighted_points(np.random.default_rng(1000 * n + size), n, size)
+        c = random_ball_point(np.random.default_rng(n), n, 0.6)
+        out[f"sweep n={n} N={size} ms"] = timed(lambda: bc._sweep(data, c))
+for n in (1, 2, 4):
+    data = random_weighted_points(np.random.default_rng(n), n, 8192 // n)
+    phi = mobius.hua_new(random_ball_point(np.random.default_rng(n), n, 0.6))
+    out[f"hua_apply block n={n} ms"] = timed(lambda: mobius.hua_apply(phi, data.points))
+stall = random_weighted_points(np.random.default_rng(0), 2, 5)
+cfg = bc.SolverConfig(tol=1e-300)
+res = bc.solve(stall, cfg)
+sweep, calls = bc._sweep, [0]
+
+
+def counted(*args):
+    calls[0] += 1
+    return sweep(*args)
+
+
+bc._sweep = counted
+bc.solve(stall, cfg)
+bc._sweep = sweep
+out["stalled solve ms"] = timed(lambda: bc.solve(stall, cfg))
+out["stalled solve sweeps"] = calls[0]
+out["stalled solve stop_reason"] = res.stop_reason
+print(json.dumps(out))
+"""
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("src")
+    ap.add_argument("--rounds", type=int, default=5)
+    ap.add_argument("--reps", type=int, default=7)
+    args = ap.parse_args(argv)
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(args.src)}
+    env.setdefault("OPENBLAS_NUM_THREADS", str(min(2, os.cpu_count() or 1)))
+    proc = subprocess.run([sys.executable, "-c", _CHILD, str(args.rounds), str(args.reps)],
+                          env=env, check=True, capture_output=True, text=True)
+    sys.stdout.write(proc.stdout)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -28,7 +28,8 @@ and moves to c <- Phi_c(eta x).  For a single point p in the chart,
 delta = p / (1 - |p|^2) and x = p, so one point is reached in one step;
 near the solution x = delta + O(|delta|^3), so convergence is quadratic.
 Backtracking on eta keeps the energy from increasing; steps whose energy
-change is below the rounding of the terms of G are judged on |R|.
+change is below the rounding of the terms of G are judged on |R|, and a
+step that rounds back to c is rejected without a sweep.
 """
 
 from __future__ import annotations
@@ -176,20 +177,23 @@ def _sweep(data: WeightedPoints, c: np.ndarray):
     """R(c), |R(c)|, G(c), the Gram matrix P^T diag(w) P of the mapped
     points p_i = Phi_c(q_i) and the rounding scale of G, the size of the
     three terms whose cancellation gives G.  The sums run over the blocks
-    of mobius._hua_blocks, in block order, so no temporary grows with the
-    point count and no GEMM or sum wakes the BLAS worker threads or
-    depends on the BLAS thread count; the weighted log sum is an einsum,
-    not a BLAS dot, for the same reason."""
+    of mobius._hua_blocks, in block order, and take each block's images as
+    the kernel returns them, component-major (4n, M): R and the weighted
+    log sum are einsums over the long axis, not BLAS calls, and the Gram
+    matrix is o o^T of the images o scaled by sqrt(w).  So no temporary
+    grows with the point count, and no GEMM or sum wakes the BLAS worker
+    threads or depends on the BLAS thread count."""
     n = data.n
-    r_vec = np.zeros((n, 4))
+    r_vec = np.zeros(4 * n)
     gram = np.zeros((4 * n, 4 * n))
     w_log = 0.0
-    for rows, flat, den2 in mobius._hua_blocks(c, data.points.reshape(data.size, -1)):
+    for rows, o, den2 in mobius._hua_blocks(c, data.points.reshape(data.size, -1)):
         w = data.weights[rows]
-        r_vec += np.einsum("i,ijk->jk", w, flat.reshape(-1, n, 4))
+        r_vec += np.einsum("ji,i->j", o, w)
         w_log += float(np.einsum("i,i->", w, np.log(den2)))
-        flat *= np.sqrt(w)[:, None]
-        gram += flat.T @ flat
+        o *= np.sqrt(w)
+        gram += o @ o.T
+    r_vec = r_vec.reshape(n, 4)
     w_norm = data.total_weight * math.log1p(-float(q.vnorm2(c)))
     e = w_log - w_norm - data._log_const
     e_scale = abs(w_log) + abs(w_norm) + abs(data._log_const)
@@ -261,9 +265,12 @@ def solve(data: WeightedPoints, config: SolverConfig | None = None,
         eta = 1.0
         while eta >= _ETA_FLOOR:
             cand = _hua_rows(c, eta * x.reshape(1, -1))[0].reshape(c.shape)
-            r_new, rn_new, g_new, gram_new, scale_new = _sweep(data, cand)
-            if g_new < e_c or (g_new <= e_c + e_floor and rn_new < rn):
-                break
+            # a step that rounds back to c has c's G and |R|, so it cannot
+            # pass either test: skip its sweep
+            if not np.array_equal(cand, c):
+                r_new, rn_new, g_new, gram_new, scale_new = _sweep(data, cand)
+                if g_new < e_c or (g_new <= e_c + e_floor and rn_new < rn):
+                    break
             eta *= 0.5
         else:
             stop_reason = "stalled"  # no acceptable step exists in this chart

@@ -29,7 +29,7 @@ def distance(p, q_point) -> np.ndarray:
     flat = p.reshape(-1, 4 * phi.n)
     m2 = np.empty(flat.shape[0])
     for rows, mapped, _ in mobius._hua_blocks(phi.u, flat):
-        m2[rows] = q.vnorm2(mapped.reshape(-1, phi.n, 4))
+        m2[rows] = np.einsum("ji,ji->i", mapped, mapped)
     return 2.0 * np.arctanh(np.sqrt(m2).reshape(p.shape[:-2]))
 
 

@@ -79,21 +79,29 @@ def hua_new(u) -> HuaInvolution:
 # -- the Hua kernel ----------------------------------------------------------
 #
 # With c fixed, z -> <z,c> and w -> (c_j w)_j are real-linear maps, so in
-# real coordinates (a point of H^n as a row of 4n floats) Phi_c of many
-# points is two small GEMMs plus one right division per point by
-# 1 - <z,c>: the real 4 x 4 representation of quaternions (F. Zhang,
-# "Quaternions and matrices of quaternions", Linear Algebra Appl. 251,
-# 1997).  hua_apply and the solver run this kernel; projective_apply of
-# hua_matrix_array(phi.u) is a separate code path, the tests' reference.
+# real coordinates (a point of H^n as 4n floats) Phi_c of many points is
+# two small GEMMs plus one right division per point by 1 - <z,c>: the real
+# 4 x 4 representation of quaternions (F. Zhang, "Quaternions and matrices
+# of quaternions", Linear Algebra Appl. 251, 1997).  The kernel runs
+# component-major: a block of M points is one (4n, M) array, coordinate
+# by coordinate, so everything after the GEMMs is an operation on rows of
+# length M, not M operations on rows of length 4.  hua_apply and the
+# solver run this kernel; projective_apply of hua_matrix_array(phi.u) is a
+# separate code path, the tests' reference.
 
 _E = np.eye(4)
 _QMUL = q.qmul(_E[:, None], _E[None, :])  # _QMUL[a, b] = e_a e_b, e = (1, i, j, k)
+# e_a e_f = +-e_b for exactly one a per (f, b), so component b of x e_f is
+# _DIV_SIGN[f, b] x_a with a = _DIV_ROW[f, b]: the right division
+# x d = sum_f d_f (x e_f) is one gather, one multiply and three adds
+_DIV_ROW = np.abs(_QMUL).argmax(axis=0)
+_DIV_SIGN = np.take_along_axis(_QMUL, _DIV_ROW[None], axis=0)[0]
 # Every pass over many points (hua_apply, the solver's sweep, distance, the
 # geodesic-ball sampler's inner products) runs on the blocks of _blocks, at
-# most _BLOCK // n rows, so each GEMM has 16 * _BLOCK multiply-adds, below
-# the 4 * 65536 up to which OpenBLAS stays on the calling thread: a threaded
-# GEMM wakes worker threads that spin on the other cores, and on a loaded
-# machine each call waits.
+# most _BLOCK // n points, so each of the kernel's GEMMs has 16 * _BLOCK
+# multiply-adds, below the 4 * 65536 up to which OpenBLAS stays on the
+# calling thread: a threaded GEMM wakes worker threads that spin on the
+# other cores, and on a loaded machine each call waits.
 _BLOCK = 8192
 
 
@@ -107,33 +115,38 @@ def _inner_matrix(c: np.ndarray) -> np.ndarray:
 
 def _hua_rows(c: np.ndarray, flat: np.ndarray):
     """Phi_c of the rows of flat (M, 4n), each the real coordinates of a
-    point of H^n, and |1 - <z,c>|^2 per row.
+    point of H^n, and |1 - <z,c>|^2 per row.  The images come back
+    component-major, as a C-contiguous (4n, M) array whose column i is
+    Phi_c of row i.
 
-    The right division x d = sum_f d_f (x e_f) is four (M n, 4) @ (4, 4)
-    products rather than one product with a per-point 4 x 4 matrix, and
-    the temporaries are updated in place: they set the peak memory of a
-    pass over a block."""
+    <z,c> is a GEMM on flat transposed, and flat is copied once, transposed
+    and scaled by s; every later step is an operation on rows of length M.
+    The right division x d = sum_f d_f (x e_f), d = (1 - <z,c>)^{-1}, is
+    one gather of the components of x by _DIV_ROW, one multiply by the
+    d_f signed by _DIV_SIGN and three adds, in f order.  The gathered
+    (n, 4, 4, M) terms are the largest temporary; the others are at most
+    (4n, M), and all are updated in place."""
     n = c.shape[0]
     m = flat.shape[0]
     s = math.sqrt(1.0 - float(q.vnorm2(c)))
     m_out = (c @ _QMUL.reshape(4, 16)).reshape(n, 4, 4).transpose(1, 0, 2).reshape(4, 4 * n)
-    ip = flat @ _inner_matrix(c)            # <z, c>, (M, 4)
-    num = ip @ m_out                        # (c_j <z, c>)_j, (M, 4n)
-    num /= -(1.0 + s)
-    num += c.reshape(-1)
-    num -= s * flat                         # c - A_c z
-    dinv = np.subtract(q.ONE, ip, out=ip)   # 1 - <z, c>, in ip's storage
-    den2 = q.qnorm2(dinv)
-    dinv[:, 1:] *= -1.0
-    dinv /= den2[:, None]                   # (1 - <z, c>)^{-1}
-    num = num.reshape(m * n, 4)
-    out = np.zeros((m, n, 4))
-    term = np.empty((m, n, 4))
-    for f in range(4):
-        np.matmul(num, _QMUL[:, f], out=term.reshape(m * n, 4))
-        term *= dinv[:, None, f:f + 1]
-        out += term
-    return out.reshape(m, 4 * n), den2
+    m_out /= -(1.0 + s)
+    ip = _inner_matrix(c).T @ flat.T        # <z, c>, (4, M)
+    num = m_out.T @ ip                      # -(c_j <z, c>)_j / (1 + s), (4n, M)
+    zt = np.multiply(flat.T, s, order="C")  # s z, (4n, M)
+    num += c.reshape(-1, 1)
+    num -= zt                               # c - A_c z
+    d = np.negative(ip, out=ip)
+    d[0] += 1.0                             # 1 - <z, c>, in ip's storage
+    den2 = np.einsum("fi,fi->i", d, d)
+    d[1:] *= -1.0
+    d /= den2                               # (1 - <z, c>)^{-1}
+    terms = np.take(num.reshape(n, 4, m), _DIV_ROW, axis=1)   # (n, f, b, M)
+    terms *= _DIV_SIGN[:, :, None] * d[:, None, :]            # d_f (x e_f)
+    out = np.add(terms[:, 0], terms[:, 1], out=zt.reshape(n, 4, m))  # s z is spent
+    out += terms[:, 2]
+    out += terms[:, 3]
+    return zt, den2
 
 
 def _blocks(m: int, n: int) -> list:
@@ -146,8 +159,8 @@ def _blocks(m: int, n: int) -> list:
 
 
 def _hua_blocks(c: np.ndarray, flat: np.ndarray):
-    """Yield (rows, Phi_c(flat[rows]), |1 - <z,c>|^2) for the blocks of
-    _blocks that cover the rows of flat (M, 4n), in order."""
+    """Yield (rows, Phi_c(flat[rows]) as (4n, M), |1 - <z,c>|^2) for the
+    blocks of _blocks that cover the rows of flat (M, 4n), in order."""
     for rows in _blocks(flat.shape[0], c.shape[0]):
         yield (rows, *_hua_rows(c, flat[rows]))
 
@@ -173,7 +186,10 @@ def hua_apply(phi: HuaInvolution, z) -> np.ndarray:
     if not np.all(q.vnorm2(z) <= 1.0 + _BALL_SLACK):
         raise NotInBall("point outside the closed unit ball")
     flat = z.reshape(-1, 4 * phi.n)
-    return np.concatenate([out for _, out, _ in _hua_blocks(phi.u, flat)]).reshape(z.shape)
+    out = np.empty(flat.shape)
+    for rows, mapped, _ in _hua_blocks(phi.u, flat):
+        out[rows] = mapped.T
+    return out.reshape(z.shape)
 
 
 def hua_fixed_point(phi: HuaInvolution) -> np.ndarray:

@@ -253,6 +253,32 @@ def test_stalled_is_reported(rng):
         assert float(q.vnorm(bc.residual(data, res.barycenter))) == res.residual_norm
 
 
+def test_backtracking_never_sweeps_the_current_iterate(rng, monkeypatch):
+    # a backtracking step that rounds back to the current iterate c is
+    # rejected without a sweep; the chart step is the one call of _hua_rows
+    # from barycenter, and it is always taken at c
+    current, swept = [None], []
+    chart_step, sweep = bc._hua_rows, bc._sweep
+
+    def recording_chart_step(c, flat):
+        current[0] = c.copy()
+        return chart_step(c, flat)
+
+    def recording_sweep(data, x):
+        if current[0] is not None:
+            assert not np.array_equal(x, current[0]), "sweep at the current iterate"
+        swept.append(x.copy())
+        return sweep(data, x)
+
+    monkeypatch.setattr(bc, "_hua_rows", recording_chart_step)
+    monkeypatch.setattr(bc, "_sweep", recording_sweep)
+    for data in [random_weighted_points(rng, 2, 5) for _ in range(4)] + [random_weighted_points(rng, 1, 2000)]:
+        current[0], swept[:] = None, []
+        res = bc.solve(data, bc.SolverConfig(tol=1e-300))
+        assert res.stop_reason == "stalled"
+        assert len(swept) > res.iterations + 1   # rejected steps were swept too
+
+
 def test_solver_config_validation():
     with pytest.raises(QhbError):
         bc.SolverConfig(tol=0.0)
@@ -327,7 +353,8 @@ def test_sweep_is_independent_of_blas_threads():
     # a threaded BLAS dot sums large arrays in per-thread pieces; on the
     # n=1 set a sweep that took sum_i w_i log den2_i as one got an energy
     # one ulp apart under one and two BLAS threads, and energy() did too.
-    # n=3 gives the kernel's GEMMs an inner dimension of 4n = 12.
+    # n=3 gives the kernel's GEMMs an inner dimension of 4n = 12, and the
+    # sweeps at n=2 and n=4 give them and the Gram product the other shapes.
     # hua_apply runs the same kernel, and the geodesic-ball sampler takes
     # <z - c, c> with the kernel's matrix of <., c>, in the same blocks, from
     # its worker threads.  The full solve is on
@@ -343,6 +370,10 @@ def test_sweep_is_independent_of_blas_threads():
         "          bc.energy(data, np.full((n, 4), 0.1)).hex())\n"
         "mapped = mobius.hua_apply(mobius.hua_new(np.full((3, 4), 0.1)), data.points)\n"
         "print(hashlib.sha256(mapped.tobytes()).hexdigest())\n"
+        "for n in (2, 4):\n"
+        "    data = random_weighted_points(np.random.default_rng(2), n, 20000)\n"
+        "    r, rn, e, gram, scale = bc._sweep(data, np.full((n, 4), 0.1))\n"
+        "    print(e.hex(), rn.hex(), r.tobytes().hex(), gram.tobytes().hex())\n"
         "ss = regions.sample_region(regions.geodesic_ball([[0.3, 0.1, 0, 0]], 1.0), 4 * regions.CHUNK, 5)\n"
         "print(ss.count_accepted, ss.total_mass_estimate.hex(),\n"
         "      hashlib.sha256(ss.samples.points.tobytes()).hexdigest())\n"

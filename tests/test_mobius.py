@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from qhb import barycenter as bc
 from qhb import cli, geometry, mobius
 from qhb import quaternions as q
 from qhb.errors import DimensionMismatch, NotInBall, QhbError, Singular
-from qhb.verify import random_ball_point, random_ball_points, random_sp
+from qhb.verify import random_ball_point, random_ball_points, random_sp, random_weighted_points
 
 
 def pt(*vals):
@@ -149,6 +150,34 @@ def test_hua_apply_accuracy_against_decimal_reference(rng):
                 ref = np.stack([_decimal_hua(u, zi) for zi in z])
                 worst = max(worst, float(np.max(q.vnorm(got - ref))))
     assert worst <= 8.0 * eps
+
+
+def test_division_table_is_the_product_table():
+    # component b of e_a e_f is _DIV_SIGN[f, b] when a = _DIV_ROW[f, b] and
+    # 0 otherwise: the kernel's right division reproduces qmul on the basis
+    e = np.eye(4)
+    for a in range(4):
+        for f in range(4):
+            from_table = np.where(mobius._DIV_ROW[f] == a, mobius._DIV_SIGN[f], 0.0)
+            assert np.array_equal(from_table, q.qmul(e[a], e[f]))
+
+
+def test_kernel_results_are_c_contiguous(rng):
+    # the kernel runs component-major; what leaves hua_apply, distance and
+    # the sweep is laid out as the caller's point arrays are
+    for n in (1, 2, 4):
+        u = random_ball_point(rng, n)
+        phi = mobius.hua_new(u)
+        z = random_ball_points(rng, n, 3 * (mobius._BLOCK // n) + 5)
+        for batch in (z, z[0], z[::3], z[:12].reshape(3, 4, n, 4)):
+            assert mobius.hua_apply(phi, batch).flags.c_contiguous
+            d = geometry.distance(batch, u)
+            assert d.shape == batch.shape[:-2]
+            assert d.flags.c_contiguous
+        data = random_weighted_points(rng, n, 2 * (mobius._BLOCK // n) + 3)
+        r_vec, _, _, gram, _ = bc._sweep(data, u)
+        assert r_vec.shape == (n, 4) and r_vec.flags.c_contiguous
+        assert gram.shape == (4 * n, 4 * n) and gram.flags.c_contiguous
 
 
 def test_involution_round_trip(rng):
