@@ -6,7 +6,7 @@ Usage:
     python scripts/cli_snapshot.py SRC_DIR
 
 Each command runs as `python -m qhb.cli ...` with PYTHONPATH=SRC_DIR, in
-scripts/fixtures/, on the point set and region files kept there (three of
+scripts/fixtures/, on the point set and region files kept there (four of
 them malformed on purpose).  The output names every command, then its
 stdout, the first line of its stderr and its exit code, and holds no path,
 so the CLI output of two source trees (say, a checkout of the parent
@@ -48,6 +48,7 @@ COMMANDS = (
         ["region-barycenter", "geodesic_ball_n2.json", "--samples", "1048576", "--seed", "3"],
         ["region-barycenter", "euclidean_ball_n1.json", "--samples", "200000", "--seed", "3"],
         ["barycenter", "null_weight.json"],
+        ["barycenter", "boolean_weight.json"],
         ["barycenter", "object_points.json"],
         ["region-barycenter", "null_radius.json", "--samples", "1000"],
         ["barycenter", "two_points.json", "--tol", "nan"],

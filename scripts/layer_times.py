@@ -11,10 +11,14 @@ as the median over R rounds of the best of K calls:
 
 * `sweep n=.. N=..`: one `barycenter._sweep` (R, G and the Gram matrix of
   a weighted set at a point) for n in {1, 2, 4} and N in {1e3, 1e4, 1e5};
+* `solve n=.. N=..`: the full default `solve` of such a set, with its
+  count of kernel sweeps beside it: the `_sweep` calls away from the
+  origin, where the kernel maps no point;
 * `hua_apply block n=..`: one `mobius.hua_apply` of 8192 / n points, one
   block of the kernel's partition;
 * `stalled solve`: `solve` at tol = 1e-300 of a five-point set at n = 2,
-  which ends "stalled"; its sweep count is reported with it.
+  which ends "stalled"; its count of all `_sweep` calls is reported with
+  it.
 
 Inputs come from `verify.random_weighted_points` with fixed seeds, and
 the child runs with OPENBLAS_NUM_THREADS=min(2, nproc), as bench/run.py
@@ -50,6 +54,25 @@ def timed(fn):
     return 1e3 * float(np.median(meds))
 
 
+sweep = bc._sweep
+
+
+def sweeps(fn):
+    # the _sweep calls fn() makes: all of them, and those away from the origin
+    calls = []
+
+    def counted(data, c):
+        calls.append(bool(c.any()))
+        return sweep(data, c)
+
+    bc._sweep = counted
+    try:
+        fn()
+    finally:
+        bc._sweep = sweep
+    return len(calls), sum(calls)
+
+
 out = {}
 for n in (1, 2, 4):
     for size in (1000, 10000, 100000):
@@ -57,25 +80,19 @@ for n in (1, 2, 4):
         c = random_ball_point(np.random.default_rng(n), n, 0.6)
         out[f"sweep n={n} N={size} ms"] = timed(lambda: bc._sweep(data, c))
 for n in (1, 2, 4):
+    for size in (1000, 10000, 100000):
+        data = random_weighted_points(np.random.default_rng(1000 * n + size), n, size)
+        out[f"solve n={n} N={size} ms"] = timed(lambda: bc.solve(data))
+        out[f"solve n={n} N={size} kernel sweeps"] = sweeps(lambda: bc.solve(data))[1]
+for n in (1, 2, 4):
     data = random_weighted_points(np.random.default_rng(n), n, 8192 // n)
     phi = mobius.hua_new(random_ball_point(np.random.default_rng(n), n, 0.6))
     out[f"hua_apply block n={n} ms"] = timed(lambda: mobius.hua_apply(phi, data.points))
 stall = random_weighted_points(np.random.default_rng(0), 2, 5)
 cfg = bc.SolverConfig(tol=1e-300)
 res = bc.solve(stall, cfg)
-sweep, calls = bc._sweep, [0]
-
-
-def counted(*args):
-    calls[0] += 1
-    return sweep(*args)
-
-
-bc._sweep = counted
-bc.solve(stall, cfg)
-bc._sweep = sweep
 out["stalled solve ms"] = timed(lambda: bc.solve(stall, cfg))
-out["stalled solve sweeps"] = calls[0]
+out["stalled solve sweeps"] = sweeps(lambda: bc.solve(stall, cfg))[0]
 out["stalled solve stop_reason"] = res.stop_reason
 print(json.dumps(out))
 """

@@ -30,13 +30,20 @@ near the solution x = delta + O(|delta|^3), so convergence is quadratic.
 Backtracking on eta keeps the energy from increasing; steps whose energy
 change is below the rounding of the terms of G are judged on |R|, and a
 step that rounds back to c is rejected without a sweep.
+
+The solver starts at the origin, where Phi_0(q) = -q: the first sweep
+maps no point (mobius._hua_rows returns -q there without its GEMMs or
+division), and gives R(0) = -sum_i w_i q_i, G(0) = -sum_i w_i
+log(1 - |q_i|^2) and the Gram matrix of the q_i themselves.  The first
+Newton step is then taken in the chart of the origin, which is the ball
+itself.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -61,6 +68,7 @@ class WeightedPoints:
 
     points: np.ndarray   # (N, n, 4)
     weights: np.ndarray  # (N,), all > 0
+    _log_const: float = field(init=False, repr=False)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -87,6 +95,9 @@ class WeightedPoints:
         wts.flags.writeable = False
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", wts)
+        # sum_i w_i log(1 - |q_i|^2), the x-independent part of the energy,
+        # from the |q_i|^2 of the boundary test; G(0) = -_log_const
+        object.__setattr__(self, "_log_const", float(np.sum(wts * np.log1p(-nm2))))
 
     @property
     def size(self) -> int:
@@ -99,11 +110,6 @@ class WeightedPoints:
     @cached_property
     def total_weight(self) -> float:
         return float(np.sum(self.weights))
-
-    @cached_property
-    def _log_const(self) -> float:
-        # sum_i w_i log(1 - |q_i|^2), the x-independent part of the energy
-        return float(np.sum(self.weights * np.log1p(-q.vnorm2(self.points))))
 
 
 def weighted_points(points, weights=None) -> WeightedPoints:
@@ -140,7 +146,9 @@ class SolverResult:
     energy: float             # G(barycenter)
     iterations: int
     stop_reason: str          # "converged", "max_iters" or "stalled"
-    energy_trace: tuple = ()  # energy after the initial point and each accepted step
+    # G at the start (the origin's G(0) = -_log_const unless a start is
+    # given) and after each accepted step
+    energy_trace: tuple = ()
 
     @property
     def converged(self) -> bool:
@@ -157,14 +165,6 @@ def residual(data: WeightedPoints, c) -> np.ndarray:
     """R(c) = sum_i w_i Phi_c(q_i), a vector in H^n; zero exactly at the
     barycenter.  The solver's sweep evaluates it."""
     return _sweep(data, mobius.ball_points(q.hvector(c), data.n))[0]
-
-
-def _initial_point(data: WeightedPoints) -> np.ndarray:
-    mean = np.einsum("i,ijk->jk", data.weights, data.points) / data.total_weight
-    nm = float(q.vnorm(mean))
-    if nm > 0.9:
-        mean = mean * (0.9 / nm)
-    return mean
 
 
 # -- the fused sweep ---------------------------------------------------------
@@ -235,16 +235,18 @@ def solve(data: WeightedPoints, config: SolverConfig | None = None,
           start=None) -> SolverResult:
     """Minimize the energy; returns the unique barycenter.
 
-    Starts from the Euclidean weighted mean (clipped to norm 0.9) unless
-    `start` is given; the result is independent of the start up to the
-    tolerance.  Convergence is declared on the residual norm
+    Starts at the origin unless `start` is given; the result is
+    independent of the start up to the tolerance.  At the origin
+    Phi_0(q) = -q, so the first sweep needs no map of the points and the
+    first step is a Newton step on the points as given.  Convergence is
+    declared on the residual norm
     |R(c)| <= tol * total_weight.  Otherwise the best iterate is still
     returned, with stop_reason "max_iters" when the iteration budget ran
     out and "stalled" when the line search found no acceptable step.
     """
     cfg = config or SolverConfig()
     total = data.total_weight
-    c = _initial_point(data) if start is None else mobius.ball_points(q.hvector(start), data.n).copy()
+    c = np.zeros((data.n, 4)) if start is None else mobius.ball_points(q.hvector(start), data.n).copy()
 
     r_vec, rn, g_c, gram, e_scale = _sweep(data, c)
     e_c = g_c  # G(c) as energy_trace records it: a no-increase step keeps the last record

@@ -42,6 +42,21 @@ def _dimension(v) -> int:
     return v
 
 
+def _number(v) -> float:
+    if isinstance(v, bool):
+        raise ValueError(f"expected a number, got the JSON boolean {json.dumps(v)}")
+    return float(v)
+
+
+def _reals(v) -> np.ndarray:
+    """v, a number or nested arrays of numbers, as a float array; JSON's
+    true and false are not numbers, though numpy reads them as 1 and 0."""
+    z = np.asarray(v, dtype=float)
+    if any(type(x) is bool for x in np.asarray(v, dtype=object).flat):
+        raise ValueError("expected numbers, got a JSON boolean")
+    return z
+
+
 def _array(v) -> list:
     if type(v) is not list:
         raise ValueError(f"expected a JSON array, got {type(v).__name__}")
@@ -51,7 +66,7 @@ def _array(v) -> list:
 def _hvector(obj, n: int | None, where: str) -> np.ndarray:
     """A vector in H^n, an array of n [w,x,y,z] arrays, as an (n, 4)
     array; n=None takes any n >= 1."""
-    z = np.asarray(obj, dtype=float)
+    z = _reals(obj)
     if z.ndim != 2 or z.shape[1] != 4 or z.shape[0] < 1:
         raise DimensionMismatch(f"{where}: cannot read a point from an array of shape {z.shape}")
     if n is not None and z.shape[0] != n:
@@ -81,7 +96,7 @@ def load_point_set(path: str) -> barycenter.WeightedPoints:
         where = f"point {i}"
         pts.append(_field(entry, "coords", lambda c: _hvector(c, n, where), where))
         # entry is a JSON object once its coords are read
-        wts.append(_field(entry, "weight", float, where) if "weight" in entry else 1.0)
+        wts.append(_field(entry, "weight", _number, where) if "weight" in entry else 1.0)
     return barycenter.WeightedPoints(points=np.array(pts), weights=np.array(wts))
 
 
@@ -92,7 +107,8 @@ def parse_point(text: str, n: int | None = None) -> np.ndarray:
     v = json.loads(text)
     if isinstance(v, (int, float)):
         v = [v, 0.0, 0.0, 0.0]
-    arr = _field({"point": v}, "point", lambda p: _hvector(np.atleast_2d(p), n, where), where)
+    arr = _field({"point": v}, "point", lambda p: _hvector(np.atleast_2d(_reals(p)), n, where),
+                 where)
     if not np.all(np.isfinite(arr)):
         raise NonFinite(f"{where} is not finite")
     return arr
@@ -109,7 +125,7 @@ def region_from_json(obj) -> regions.RegionSpec:
     """Read {"kind": ..., "center": [[w,x,y,z],...], "radius": r, "dimension": n}."""
     n = _field(obj, "dimension", _dimension, "region")
     center = _field(obj, "center", lambda c: _hvector(c, n, "region center"), "region")
-    radius = _field(obj, "radius", float, "region")
+    radius = _field(obj, "radius", _number, "region")
     return _field(obj, "kind", _REGION_FACTORIES.__getitem__, "region")(center, radius)
 
 

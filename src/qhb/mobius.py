@@ -85,9 +85,11 @@ def hua_new(u) -> HuaInvolution:
 # of quaternions", Linear Algebra Appl. 251, 1997).  The kernel runs
 # component-major: a block of M points is one (4n, M) array, coordinate
 # by coordinate, so everything after the GEMMs is an operation on rows of
-# length M, not M operations on rows of length 4.  hua_apply and the
-# solver run this kernel; projective_apply of hua_matrix_array(phi.u) is a
-# separate code path, the tests' reference.
+# length M, not M operations on rows of length 4.  At the origin, where
+# solve starts, Phi_0 = -id and the kernel returns 0 - z without its GEMMs
+# or division.  hua_apply and the solver run this kernel;
+# projective_apply of hua_matrix_array(phi.u) is a separate code path, the
+# tests' reference.
 
 _E = np.eye(4)
 _QMUL = q.qmul(_E[:, None], _E[None, :])  # _QMUL[a, b] = e_a e_b, e = (1, i, j, k)
@@ -125,9 +127,16 @@ def _hua_rows(c: np.ndarray, flat: np.ndarray):
     one gather of the components of x by _DIV_ROW, one multiply by the
     d_f signed by _DIV_SIGN and three adds, in f order.  The gathered
     (n, 4, 4, M) terms are the largest temporary; the others are at most
-    (4n, M), and all are updated in place."""
-    n = c.shape[0]
+    (4n, M), and all are updated in place.
+
+    At the origin Phi_0(z) = -z and |1 - <z,0>|^2 = 1, so the kernel
+    returns 0 - flat.T and ones without its GEMMs or division: the bits
+    the general path gives there, zero signs included (0 - z is +0.0 for
+    z = +-0.0, as c - A_c z is; np.negative would give -0.0)."""
     m = flat.shape[0]
+    if not c.any():
+        return np.subtract(0.0, flat.T, order="C"), np.ones(m)
+    n = c.shape[0]
     s = math.sqrt(1.0 - float(q.vnorm2(c)))
     m_out = (c @ _QMUL.reshape(4, 16)).reshape(n, 4, 4).transpose(1, 0, 2).reshape(4, 4 * n)
     m_out /= -(1.0 + s)

@@ -209,6 +209,58 @@ def test_symmetric_four_point(rng):
     data = bc.WeightedPoints(points=pts, weights=np.ones(4))
     res = bc.solve(data, start=random_ball_point(rng, 1, rmax=0.5))
     assert float(q.vnorm(res.barycenter)) <= 1e-10
+    # R(0) = -sum w_i q_i = 0, so the default start is the answer
+    res = bc.solve(data)
+    assert res.converged and res.iterations == 0 and res.residual_norm == 0.0
+    assert res.barycenter.tobytes() == np.zeros((1, 4)).tobytes()
+
+
+def test_log_const_is_the_sum_of_the_constructor_norms(rng):
+    # WeightedPoints takes sum w log(1 - |q|^2) from its boundary test's
+    # |q|^2, with the bits of a second pass over the stored points; it is
+    # -G(0), the energy a default solve records first
+    for n in (1, 2, 4):
+        for size in (1, 7, 2 * (mobius._BLOCK // n) + 3):
+            data = random_weighted_points(rng, n, size)
+            ref = float(np.sum(data.weights * np.log1p(-q.vnorm2(data.points))))
+            assert data._log_const.hex() == ref.hex()
+            assert bc.solve(data).energy_trace[0] == -ref
+
+
+def test_default_solve_starts_at_the_origin(rng, monkeypatch):
+    # the first sweep is at 0, where the kernel maps no point: it never
+    # forms the matrix of <., c> that the general path multiplies by
+    sweeps, inner_calls = [], []
+    sweep, inner_matrix = bc._sweep, mobius._inner_matrix
+
+    def recording_sweep(data, c):
+        sweeps.append(c.copy())
+        inner_calls.append(0)
+        return sweep(data, c)
+
+    def counting_inner_matrix(c):
+        inner_calls[-1] += 1
+        return inner_matrix(c)
+
+    monkeypatch.setattr(bc, "_sweep", recording_sweep)
+    monkeypatch.setattr(mobius, "_inner_matrix", counting_inner_matrix)
+    for n in (1, 2, 4):
+        sweeps[:], inner_calls[:] = [], []
+        res = bc.solve(random_weighted_points(rng, n, 2 * (mobius._BLOCK // n) + 3))
+        assert res.converged and len(sweeps) > 1
+        assert sweeps[0].tobytes() == np.zeros((n, 4)).tobytes()
+        assert inner_calls[0] == 0
+        assert all(k > 0 for k in inner_calls[1:])
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_default_start_is_a_start_at_zero(rng, n):
+    # bit for bit, over several blocks of the sweep
+    data = random_weighted_points(rng, n, 2 * (mobius._BLOCK // n) + 3)
+    a, b = bc.solve(data), bc.solve(data, start=np.zeros((n, 4)))
+    assert a.barycenter.tobytes() == b.barycenter.tobytes()
+    assert (a.energy, a.residual_norm, a.iterations, a.stop_reason, a.energy_trace) == \
+        (b.energy, b.residual_norm, b.iterations, b.stop_reason, b.energy_trace)
 
 
 def test_initialization_independence(rng):

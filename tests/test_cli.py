@@ -172,6 +172,36 @@ def test_malformed_field_is_named(capsys, tmp_path, command, text, field):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, text, field", [
+    (("barycenter",), '{"dimension": 1, "points": [{"coords": [[0.1, 0, 0, 0]], "weight": true}]}',
+     "point 0: missing or malformed 'weight'"),
+    (("barycenter",), '{"dimension": 1, "points": [{"coords": [[0.1, 0, 0, 0]]}, '
+     '{"coords": [[0.1, 0, false, 0]]}]}', "point 1: missing or malformed 'coords'"),
+    (_REGION, '{"kind": "geodesic_ball", "center": [[0.3, 0, 0, 0]], '
+     '"radius": true, "dimension": 1}', "region: missing or malformed 'radius'"),
+    (_REGION, '{"kind": "euclidean_ball", "center": [[true, 0, 0, 0]], '
+     '"radius": 0.4, "dimension": 1}', "region: missing or malformed 'center'"),
+], ids=["weight", "coordinate", "radius", "center-coordinate"])
+def test_boolean_is_not_a_number(capsys, tmp_path, command, text, field):
+    # numpy and float() read true and false as 1 and 0
+    path = tmp_path / "boolean.json"
+    path.write_text(text)
+    code, out, err = run(capsys, *command, str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: QhbError: ") and field in err and "boolean" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("distance", "false", "0.5"),
+    ("distance", "0.5", "[true, 0, 0, 0]"),
+    ("energy", "{file}", "--at", "[[0.1, 0, 0, true]]"),
+], ids=["distance-first", "distance-second", "energy-at"])
+def test_boolean_cli_point_is_refused(capsys, two_weighted_file, argv):
+    code, out, err = run(capsys, *(a.format(file=two_weighted_file) for a in argv))
+    assert code == 1 and out == ""
+    assert err.startswith("error: QhbError: point ") and "boolean" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("barycenter", "{file}", "--step", "0.5"),
     ("barycenter", "{file}", "--no-line-search"),

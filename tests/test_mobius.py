@@ -164,20 +164,45 @@ def test_division_table_is_the_product_table():
 
 def test_kernel_results_are_c_contiguous(rng):
     # the kernel runs component-major; what leaves hua_apply, distance and
-    # the sweep is laid out as the caller's point arrays are
+    # the sweep is laid out as the caller's point arrays are, also from the
+    # kernel's return at the origin (a -0.0 center is the origin too)
     for n in (1, 2, 4):
-        u = random_ball_point(rng, n)
-        phi = mobius.hua_new(u)
-        z = random_ball_points(rng, n, 3 * (mobius._BLOCK // n) + 5)
-        for batch in (z, z[0], z[::3], z[:12].reshape(3, 4, n, 4)):
-            assert mobius.hua_apply(phi, batch).flags.c_contiguous
-            d = geometry.distance(batch, u)
-            assert d.shape == batch.shape[:-2]
-            assert d.flags.c_contiguous
-        data = random_weighted_points(rng, n, 2 * (mobius._BLOCK // n) + 3)
-        r_vec, _, _, gram, _ = bc._sweep(data, u)
-        assert r_vec.shape == (n, 4) and r_vec.flags.c_contiguous
-        assert gram.shape == (4 * n, 4 * n) and gram.flags.c_contiguous
+        for u in (random_ball_point(rng, n), np.zeros((n, 4)), np.full((n, 4), -0.0)):
+            phi = mobius.hua_new(u)
+            z = random_ball_points(rng, n, 3 * (mobius._BLOCK // n) + 5)
+            for batch in (z, z[0], z[::3], z[:12].reshape(3, 4, n, 4)):
+                assert mobius.hua_apply(phi, batch).flags.c_contiguous
+                d = geometry.distance(batch, u)
+                assert d.shape == batch.shape[:-2]
+                assert d.flags.c_contiguous
+            data = random_weighted_points(rng, n, 2 * (mobius._BLOCK // n) + 3)
+            r_vec, _, _, gram, _ = bc._sweep(data, u)
+            assert r_vec.shape == (n, 4) and r_vec.flags.c_contiguous
+            assert gram.shape == (4 * n, 4 * n) and gram.flags.c_contiguous
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_kernel_at_the_origin_is_negation(rng, n):
+    # Phi_0(z) = -z and |1 - <z,0>|^2 = 1: the kernel returns 0 - z, which
+    # is +0.0 for z = +-0.0 as its general path gives, for a +0.0 or -0.0
+    # center, on one row, five rows, one block and (through hua_apply) a
+    # batch of several blocks
+    z = random_ball_points(rng, n, 2 * (mobius._BLOCK // n) + 5)
+    z[::7, 0, 1] = 0.0
+    z[::5, -1, 2] = -0.0
+    flat = z.reshape(len(z), 4 * n)
+    for c in (np.zeros((n, 4)), np.full((n, 4), -0.0)):
+        hua = mobius.hua_matrix_array(c)
+        for rows in (flat[:1], flat[:5], flat[:mobius._BLOCK // n]):
+            out, den2 = mobius._hua_rows(c, rows)
+            assert out.flags.c_contiguous
+            assert out.tobytes() == np.subtract(0.0, rows.T, order="C").tobytes()
+            assert den2.tobytes() == np.ones(len(rows)).tobytes()
+            ref = mobius.projective_apply(hua, rows.reshape(-1, n, 4))
+            assert np.array_equal(out.T.reshape(-1, n, 4), ref)
+        got = mobius.hua_apply(mobius.hua_new(c), z)
+        assert got.tobytes() == np.subtract(0.0, z).tobytes()
+        assert np.array_equal(got, mobius.projective_apply(hua, z))
 
 
 def test_involution_round_trip(rng):
