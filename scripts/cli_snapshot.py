@@ -6,8 +6,10 @@ Usage:
     python scripts/cli_snapshot.py SRC_DIR
 
 Each command runs as `python -m qhb.cli ...` with PYTHONPATH=SRC_DIR, in
-scripts/fixtures/, on the point set and region files kept there (four of
-them malformed on purpose).  The output names every command, then its
+scripts/fixtures/, on the point set and region files kept there (seven
+of them malformed on purpose: a null, a boolean and a string weight, a
+weight of 401 digits, an object for the points, points nested 5000 deep
+and a null radius).  The output names every command, then its
 stdout, the first line of its stderr and its exit code, and holds no path,
 so the CLI output of two source trees (say, a checkout of the parent
 commit and the working tree) is compared with one diff:
@@ -50,6 +52,9 @@ COMMANDS = (
         ["barycenter", "null_weight.json"],
         ["barycenter", "boolean_weight.json"],
         ["barycenter", "object_points.json"],
+        ["barycenter", "string_weight.json"],
+        ["barycenter", "huge_weight.json"],
+        ["barycenter", "deep_points.json"],
         ["region-barycenter", "null_radius.json", "--samples", "1000"],
         ["barycenter", "two_points.json", "--tol", "nan"],
         ["region-barycenter", "geodesic_ball_n2.json", "--samples", "1000",

@@ -18,7 +18,16 @@ as the median over R rounds of the best of K calls:
   block of the kernel's partition;
 * `stalled solve`: `solve` at tol = 1e-300 of a five-point set at n = 2,
   which ends "stalled"; its count of all `_sweep` calls is reported with
-  it.
+  it;
+* `sampler chunk <ball> n=..`: one chunk of `regions.CHUNK` proposals
+  (seed 3, chunk 0) of the geodesic balls B((0.3, 0.1, 0, 0), 1.5) and
+  B(((0.2, 0.1, 0, 0), (0, 0, 0.1, 0)), 1.5) and of the Euclidean balls
+  of radius 0.4 and 0.3 around those centers, whole and split into its
+  stages: `draws` (Philox into the chunk's buffer), `cull` (the
+  proposal-ball cull of the raw draws) and `survivors` (scaling the
+  survivors into the box and testing them with `regions._contains`),
+  with the counts of survivors and of kept points.  On a tree without
+  the cull, `survivors` scales and tests every draw and `cull` is absent.
 
 Inputs come from `verify.random_weighted_points` with fixed seeds, and
 the child runs with OPENBLAS_NUM_THREADS=min(2, nproc), as bench/run.py
@@ -36,7 +45,7 @@ import sys
 _CHILD = r"""
 import json, sys, time
 import numpy as np
-from qhb import barycenter as bc, mobius
+from qhb import barycenter as bc, mobius, regions
 from qhb.verify import random_ball_point, random_weighted_points
 
 rounds, reps = int(sys.argv[1]), int(sys.argv[2])
@@ -94,6 +103,40 @@ res = bc.solve(stall, cfg)
 out["stalled solve ms"] = timed(lambda: bc.solve(stall, cfg))
 out["stalled solve sweeps"] = sweeps(lambda: bc.solve(stall, cfg))[0]
 out["stalled solve stop_reason"] = res.stop_reason
+
+centers = {1: [[0.3, 0.1, 0, 0]], 2: [[0.2, 0.1, 0, 0], [0, 0, 0.1, 0]]}
+chunk_specs = {f"geodesic n={n}": regions.geodesic_ball(c, 1.5) for n, c in centers.items()}
+chunk_specs.update({f"euclidean n={n}": regions.euclidean_ball(c, 0.5 - 0.1 * n)
+                    for n, c in centers.items()})
+key = np.array([3, 0], dtype=np.uint64)
+for name, spec in chunk_specs.items():
+    row = f"sampler chunk {name}"
+    buf = np.empty((regions.CHUNK, 4 * spec.n))
+    width = spec.box_hi - spec.box_lo
+
+    def draws():
+        np.random.Generator(np.random.Philox(key=key)).random(out=buf)
+
+    draws()
+    if hasattr(regions, "_cull"):
+        ball = regions._proposal_ball(spec)
+        survivors = regions._cull(buf, ball)
+        jobs = [(0, regions.CHUNK)]
+        out[f"{row} ms"] = timed(lambda: regions._sample_chunks(spec, 3, jobs, ball))
+        out[f"{row} cull ms"] = timed(lambda: regions._cull(buf, ball))
+    else:
+        survivors = buf
+        out[f"{row} ms"] = timed(lambda: regions._sample_chunk(spec, 3, 0, regions.CHUNK))
+
+    def scale_and_test():
+        pts = survivors * width
+        pts += spec.box_lo
+        return regions._contains(spec, pts.reshape(-1, spec.n, 4))
+
+    out[f"{row} draws ms"] = timed(draws)
+    out[f"{row} survivors ms"] = timed(scale_and_test)
+    out[f"{row} survivors"] = survivors.shape[0]
+    out[f"{row} kept"] = scale_and_test().shape[0]
 print(json.dumps(out))
 """
 

@@ -29,11 +29,21 @@ _REGION_FACTORIES = {regions.GEODESIC_BALL: regions.geodesic_ball,
 
 def _field(obj, key, conv, where: str):
     """conv(obj[key]), with a missing or malformed field raised as a
-    QhbError naming where and key."""
+    QhbError naming where and key; an integer too large for a float is
+    malformed."""
     try:
         return conv(obj[key])
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise QhbError(f"{where}: missing or malformed {key!r} ({exc})") from None
+
+
+def _load(text: str, where: str):
+    """json.loads(text), with arrays nested deeper than the parser's
+    recursion allows raised as a QhbError naming where."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise QhbError(f"{where}: JSON nested too deeply") from None
 
 
 def _dimension(v) -> int:
@@ -43,17 +53,23 @@ def _dimension(v) -> int:
 
 
 def _number(v) -> float:
+    """v, a JSON number, as a float: float() also reads strings, and reads
+    true and false as 1 and 0."""
     if isinstance(v, bool):
         raise ValueError(f"expected a number, got the JSON boolean {json.dumps(v)}")
+    if isinstance(v, str):
+        raise ValueError("expected a number, got a JSON string")
     return float(v)
 
 
 def _reals(v) -> np.ndarray:
-    """v, a number or nested arrays of numbers, as a float array; JSON's
-    true and false are not numbers, though numpy reads them as 1 and 0."""
+    """v, a number or nested arrays of numbers, as a float array; numpy,
+    too, reads strings and JSON's true and false."""
     z = np.asarray(v, dtype=float)
-    if any(type(x) is bool for x in np.asarray(v, dtype=object).flat):
-        raise ValueError("expected numbers, got a JSON boolean")
+    for x in np.asarray(v, dtype=object).flat:
+        if isinstance(x, (bool, str)):
+            raise ValueError("expected numbers, got a JSON "
+                             + ("boolean" if isinstance(x, bool) else "string"))
     return z
 
 
@@ -86,7 +102,7 @@ def load_point_set(path: str) -> barycenter.WeightedPoints:
     dimension; WeightedPoints checks the values.  Errors name the index.
     """
     with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
+        obj = _load(fh.read(), "point set")
     n = _field(obj, "dimension", _dimension, "point set")
     entries = _field(obj, "points", _array, "point set")
     if not entries:
@@ -104,7 +120,7 @@ def parse_point(text: str, n: int | None = None) -> np.ndarray:
     """Parse a point: a number (real quaternion, n=1), a [w,x,y,z] array
     (n=1), or an array of such arrays."""
     where = f"point {text!r}"
-    v = json.loads(text)
+    v = _load(text, "point")
     if isinstance(v, (int, float)):
         v = [v, 0.0, 0.0, 0.0]
     arr = _field({"point": v}, "point", lambda p: _hvector(np.atleast_2d(_reals(p)), n, where),
@@ -179,7 +195,7 @@ def cmd_region_barycenter(args) -> int:
     if args.samples < 1:
         raise QhbError("--samples must be >= 1")
     with open(args.region, encoding="utf-8") as fh:
-        spec = region_from_json(json.load(fh))
+        spec = region_from_json(_load(fh.read(), "region"))
     cfg = _solver_config(args)
     rr = regions.region_barycenter(spec, args.samples, args.seed, cfg)
     ss = rr.sample_set

@@ -10,7 +10,6 @@ so that sums over the sample estimate integrals against the invariant
 volume: sum_i w_i ~ mass(D), sum_i w_i f(q_i) ~ integral of f over D.
 
 A proposal z is kept when |z|^2 < MAX_NORM2 and z lies in D.  A
-Euclidean ball is tested before the norm, the other kinds after it.  A
 geodesic ball B(c, rho) is tested in the Poisson form of the energy
 kernel, cosh^2(d(z,c)/2) = |1 - <z,c>|^2 / ((1 - |z|^2)(1 - |c|^2)), less
 one so that nothing cancels: with delta = z - c,
@@ -24,10 +23,20 @@ for small rho too (cosh^2(rho/2) rounds to 1 below rho ~ 3e-8), down to
 rho ~ 1e-150, where the squares leave the normal floats.  A radius above
 _RHO_ALL is tested as _RHO_ALL, which every kept proposal is within.
 
+Most proposals of a ball lie outside it (a geodesic ball at n = 2 keeps
+under 1% of its box), so before a proposal is scaled into the box or
+tested, its raw uniform draw u is culled by one Euclidean ball in u that
+holds every point the exact test can keep (_proposal_ball): for a
+geodesic ball, the test above without its |<delta,c>|^2 term.  The cull
+costs one |u|^2 and one u.u_c per draw.  Its margins exceed the rounding
+of the scaling and of the cull, so it drops only draws the exact test
+would drop, and the sample is bit for bit that of testing every draw.
+
 Sampling is chunked; each chunk draws from a counter-based generator
 keyed by (seed, chunk index), so results are bit-identical for a fixed
 (spec, count, seed) regardless of how many worker threads run the
-chunks.  The thread count is capped by the QHB_THREADS environment
+chunks.  Each worker runs one contiguous run of chunks and draws them into
+one buffer.  The thread count is capped by the QHB_THREADS environment
 variable (0 or unset = auto), which must be an integer >= 0.
 """
 
@@ -130,22 +139,19 @@ def _contains(spec: RegionSpec, pts: np.ndarray) -> np.ndarray:
     """The rows of pts (M, n, 4) that lie in the region and have
     |z|^2 < MAX_NORM2, in their order.
 
-    A Euclidean ball is tested before the norm: at n=2 it keeps ~1.6% of
-    a chunk against ~99%, so the chunk is not copied whole twice.  The
-    other kinds drop |z|^2 >= MAX_NORM2 first, so an indicator's callback
-    never sees such a point, and a geodesic ball's Poisson-form test
-    (module docstring) takes <z - c, c> of the surviving rows with the
+    Rows with |z|^2 >= MAX_NORM2 are dropped first, for every kind, so an
+    indicator's callback never sees such a point.  A Euclidean ball then
+    tests |z - c|^2 < r^2, and a geodesic ball takes its Poisson-form test
+    (module docstring) with <z - c, c> of the surviving rows from the
     kernel's matrix of <., c>, in the kernel's blocks, so that no product
     wakes OpenBLAS threads: per proposal no Phi_c, square root or artanh.
-    np.compress picks the rows: on a chunk's scattered survivors it copies
-    several times faster than boolean indexing."""
-    if spec.kind == EUCLIDEAN_BALL:
-        inside = q.vnorm2(pts - spec.center) < spec.radius ** 2
-        pts = np.compress(inside, pts, axis=0)
-        return np.compress(q.vnorm2(pts) < MAX_NORM2, pts, axis=0)
+    np.compress picks the rows: on scattered survivors it copies several
+    times faster than boolean indexing."""
     z2 = q.vnorm2(pts)
     keep = z2 < MAX_NORM2
     pts = np.compress(keep, pts, axis=0)
+    if spec.kind == EUCLIDEAN_BALL:
+        return np.compress(q.vnorm2(pts - spec.center) < spec.radius ** 2, pts, axis=0)
     if spec.kind == GEODESIC_BALL:
         lhs = mobius._sinh2_rows(spec.center, pts.reshape(-1, 4 * spec.n))
         s2 = 1.0 - float(q.vnorm2(spec.center))
@@ -158,6 +164,60 @@ def _contains(spec: RegionSpec, pts: np.ndarray) -> np.ndarray:
         raise QhbError(f"membership callback returned shape {mask.shape}, "
                        f"expected ({pts.shape[0]},)")
     return np.compress(mask, pts, axis=0)
+
+
+def _proposal_ball(spec: RegionSpec) -> tuple:
+    """(2 u_c, t): every raw draw u in [0, 1)^4n whose scaled point
+    box_lo + u (box_hi - box_lo) _contains can keep has, in float,
+    |u|^2 - 2 u.u_c < t.
+
+    In z the ball is (c', r') with every point _contains keeps inside.  For
+    a geodesic ball, with a = 1 - |c|^2 and S = sinh^2(rho/2) a (rho capped
+    at _RHO_ALL, as _contains caps it), it is the Poisson-form test less its
+    |<z - c, c>|^2 term, a|z - c|^2 < S(1 - |z|^2), that is |z - c'|^2 < r'^2
+    with c' = a c / (a + S) and r'^2 = S(a^2 + S)/(a + S)^2, written so that
+    nothing cancels.  A Euclidean ball is its own (c, r), an indicator
+    region (0, 1).  The geodesic r'^2 gains 64 n eps S/(a + S), above the
+    (4n + 8) eps S/(a + S) by which the test's rounding can move it, and r'
+    gains 2^-40 (1 + widest box side), which covers the rounding of the
+    scaling and of c'.  In u the radius is r' over the narrowest box side,
+    and t gains 2^-30 of the scale of the terms of
+    |u|^2 - 2 u.u_c + |u_c|^2, which covers their rounding and cancellation."""
+    n = spec.n
+    if spec.kind == GEODESIC_BALL:
+        a = 1.0 - float(q.vnorm2(spec.center))
+        s = math.sinh(min(spec.radius, _RHO_ALL) / 2.0) ** 2 * a
+        center = spec.center.ravel() * (a / (a + s))
+        r2 = s * (a * a + s) / (a + s) ** 2 + 2.0 ** -46 * n * s / (a + s)
+    elif spec.kind == EUCLIDEAN_BALL:
+        center, r2 = spec.center.ravel(), spec.radius ** 2
+    else:
+        center, r2 = np.zeros(4 * n), 1.0
+    width = spec.box_hi - spec.box_lo
+    r = math.sqrt(r2) + 2.0 ** -40 * (1.0 + float(np.max(width)))
+    with np.errstate(all="ignore"):
+        uc = (center - spec.box_lo) / width
+        ru2 = np.square(r / np.min(width))
+        uc2 = uc @ uc
+        t = float(ru2 - uc2 + 2.0 ** -30 * (4 * n + uc2 + ru2))
+    if not math.isfinite(t):
+        # a box side of 0 (a radius below the rounding of its center) or
+        # one so narrow that r' over it overflows: no ball in u, keep all
+        return np.zeros(4 * n), math.inf
+    return 2.0 * uc, t
+
+
+def _cull(u: np.ndarray, ball: tuple) -> np.ndarray:
+    """The rows of the raw draws u (M, 4n) inside _proposal_ball's ball, in
+    their order: one einsum for |u|^2, and a GEMV for u.2u_c in the
+    kernel's blocks, which stays on the calling thread (a whole chunk's
+    GEMV wakes OpenBLAS threads, and at 4n = 8 two of them took ~25 times
+    as long as one)."""
+    uc2, t = ball
+    d = np.einsum("ij,ij->i", u, u)
+    for rows in mobius._blocks(u.shape[0], u.shape[1] // 4):
+        d[rows] -= u[rows] @ uc2
+    return np.compress(d < t, u, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -190,30 +250,53 @@ def _worker_threads() -> int:
     return v or min(8, os.cpu_count() or 1)
 
 
-def _sample_chunk(spec: RegionSpec, seed: int, index: int, size: int) -> np.ndarray:
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
-    # the same draws as rng.uniform(box_lo, box_hi), without its broadcasting
-    flat = rng.random((size, 4 * spec.n))
-    flat *= spec.box_hi - spec.box_lo
-    flat += spec.box_lo
-    return _contains(spec, flat.reshape(size, spec.n, 4))
+def _sample_chunks(spec: RegionSpec, seed: int, jobs: list, ball: tuple) -> list:
+    """The kept rows of each chunk (index, size) of jobs, in order.  The
+    chunks draw into one buffer, and only the draws that _cull keeps are
+    scaled into the box and tested."""
+    width = spec.box_hi - spec.box_lo
+    buf = np.empty((max(size for _, size in jobs), 4 * spec.n))
+    parts = []
+    for index, size in jobs:
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
+        # the draws of rng.random((size, 4n)); the scaling is
+        # rng.uniform(box_lo, box_hi)'s arithmetic, without its broadcasting
+        pts = _cull(rng.random(out=buf[:size]), ball)
+        pts *= width
+        pts += spec.box_lo
+        parts.append(_contains(spec, pts.reshape(-1, spec.n, 4)))
+    return parts
 
 
 def sample_region(spec: RegionSpec, count: int, seed: int) -> SampleSet:
     """Draw `count` box proposals, keep those inside the region, weight by the
-    invariant density.  Deterministic for fixed (spec, count, seed)."""
+    invariant density.  Deterministic for fixed (spec, count, seed).
+
+    Each chunk culls its raw draws u in [0, 1)^4n by the region's proposal
+    ball (_proposal_ball) before it scales them into the box: a point that
+    _contains can keep always lies inside that ball, with margins wider
+    than the rounding of the scaling and of the cull itself.  The survivors
+    are scaled by the same float operations as every draw was, and
+    _contains decides each row from that row alone (its blocked product
+    gives a row the same bits in any batch), so the kept rows, their order
+    and every float are those of scaling and testing every draw."""
     _check_int("sample count", count, 1)
     _check_int("seed", seed, 0, 2**64)
     sizes = [CHUNK] * (count // CHUNK)
     if count % CHUNK:
         sizes.append(count % CHUNK)
     jobs = list(enumerate(sizes))
-    threads = _worker_threads()
-    if threads > 1 and len(jobs) > 1:
+    threads = min(_worker_threads(), len(jobs))
+    ball = _proposal_ball(spec)
+    if threads > 1:
+        # each worker takes one contiguous run of chunks, so the runs'
+        # parts concatenate in chunk order
+        runs = [jobs[len(jobs) * i // threads:len(jobs) * (i + 1) // threads]
+                for i in range(threads)]
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda j: _sample_chunk(spec, seed, j[0], j[1]), jobs))
+            parts = sum(pool.map(lambda run: _sample_chunks(spec, seed, run, ball), runs), [])
     else:
-        parts = [_sample_chunk(spec, seed, k, m) for k, m in jobs]
+        parts = _sample_chunks(spec, seed, jobs, ball)
     accepted = np.concatenate(parts, axis=0)
     if accepted.shape[0] == 0:
         raise EmptyRegion(f"no proposals accepted out of {count}")

@@ -202,6 +202,51 @@ def test_boolean_cli_point_is_refused(capsys, two_weighted_file, argv):
     assert err.startswith("error: QhbError: point ") and "boolean" in err
 
 
+_HUGE = "1" + "0" * 400    # a JSON integer beyond the largest float
+
+
+@pytest.mark.parametrize("command, text, field, cause", [
+    (("barycenter",), '{"dimension": 1, "points": [{"coords": [[0.1, 0, 0, 0]], "weight": "2.5"}]}',
+     "point 0: missing or malformed 'weight'", "string"),
+    (("barycenter",), '{"dimension": 1, "points": [{"coords": [[0.1, 0, 0, 0]]}, '
+     '{"coords": [[0.1, 0, "0.1", 0]]}]}', "point 1: missing or malformed 'coords'", "string"),
+    (_REGION, '{"kind": "geodesic_ball", "center": [[0.3, 0, 0, 0]], '
+     '"radius": "1.5", "dimension": 1}', "region: missing or malformed 'radius'", "string"),
+    (("barycenter",), '{"dimension": 1, "points": [{"coords": [[0.1, 0, 0, 0]], "weight": %s}]}'
+     % _HUGE, "point 0: missing or malformed 'weight'", "too large"),
+    (("barycenter",), '{"dimension": 1, "points": [{"coords": [[0.1, 0, %s, 0]]}]}' % _HUGE,
+     "point 0: missing or malformed 'coords'", "too large"),
+    (_REGION, '{"kind": "geodesic_ball", "center": [[0.3, 0, 0, 0]], '
+     '"radius": %s, "dimension": 1}' % _HUGE, "region: missing or malformed 'radius'", "too large"),
+    (("barycenter",), '{"dimension": 1, "points": %s}' % ("[" * 100_000 + "]" * 100_000),
+     "point set: JSON nested too deeply", ""),
+    (_REGION, '{"kind": "geodesic_ball", "center": %s}' % ("[" * 100_000 + "]" * 100_000),
+     "region: JSON nested too deeply", ""),
+], ids=["string-weight", "string-coordinate", "string-radius", "huge-weight", "huge-coordinate",
+        "huge-radius", "deep-points", "deep-region"])
+def test_only_json_numbers_are_numbers(capsys, tmp_path, command, text, field, cause):
+    # float() and numpy read strings as numbers; float() of an integer past
+    # the largest float raises OverflowError; json raises RecursionError
+    path = tmp_path / "wire.json"
+    path.write_text(text)
+    code, out, err = run(capsys, *command, str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: QhbError: ") and field in err and cause in err
+
+
+@pytest.mark.parametrize("argv, cause", [
+    (("distance", '"0.5"', "0.1"), "string"),
+    (("distance", "0.1", "[0.5, 0, \"0\", 0]"), "string"),
+    (("distance", _HUGE, "0.1"), "too large"),
+    (("distance", "0.1", "[[0.5, 0, %s, 0]]" % _HUGE), "too large"),
+    (("distance", "[" * 100_000 + "]" * 100_000, "0.1"), "nested too deeply"),
+], ids=["string", "string-coordinate", "huge", "huge-coordinate", "deep"])
+def test_cli_point_takes_only_json_numbers(capsys, argv, cause):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: QhbError: point") and cause in err
+
+
 @pytest.mark.parametrize("argv", [
     ("barycenter", "{file}", "--step", "0.5"),
     ("barycenter", "{file}", "--no-line-search"),

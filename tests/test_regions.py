@@ -73,14 +73,26 @@ def test_sampling_is_deterministic():
     assert not np.array_equal(a.samples.points, c.samples.points)
 
 
+def _sample_fields(ss) -> tuple:
+    return (ss.samples.points, ss.samples.weights, ss.total_mass_estimate, ss.moment_estimate,
+            ss.standard_error, ss.moment_standard_error, ss.count_accepted)
+
+
 def test_determinism_across_thread_counts(monkeypatch):
-    spec = regions.geodesic_ball(E1, 1.0)
-    monkeypatch.setenv("QHB_THREADS", "1")
-    a = regions.sample_region(spec, 200_000, seed=9)
-    monkeypatch.setenv("QHB_THREADS", "4")
-    b = regions.sample_region(spec, 200_000, seed=9)
-    assert np.array_equal(a.samples.points, b.samples.points)
-    assert a.total_mass_estimate == b.total_mass_estimate
+    # five chunks, the last partial: the workers' runs of chunks differ in
+    # length, and their parts still concatenate in chunk order
+    count = 4 * regions.CHUNK + 123
+    box = (np.array([-0.5, -0.7, -0.2, -0.6]), np.array([0.6, 0.3, 0.5, 0.1]))
+    for spec in (regions.geodesic_ball(E1, 1.0),
+                 regions.euclidean_ball([[0.2, 0.0, 0.1, 0.0], [0.0, 0.1, 0.0, 0.0]], 0.3),
+                 regions.indicator_region(lambda p: q.vnorm2(p) > 0.04, 1, box=box)):
+        monkeypatch.setenv("QHB_THREADS", "1")
+        a = regions.sample_region(spec, count, seed=9)
+        for threads in ("2", "4"):
+            monkeypatch.setenv("QHB_THREADS", threads)
+            b = regions.sample_region(spec, count, seed=9)
+            same = map(np.array_equal, _sample_fields(a), _sample_fields(b))
+            assert all(same), (spec.kind, threads)
 
 
 @pytest.mark.parametrize("value", ["abc", "-3", "1.5", ""])
@@ -182,6 +194,103 @@ def test_geodesic_sampler_accepts_the_metric_ball(n):
             outside = np.array([geometry.geodesic_point(ch, rho * (1.0 + margin)) for ch in charts])
             assert np.array_equal(regions._contains(spec, inside), inside), (norm, rho)
             assert regions._contains(spec, outside).shape[0] == 0, (norm, rho)
+            # the sampler's cull keeps every kept point, mapped back to its draw
+            for kept in (inside, got):
+                assert _culled(spec, kept).shape[0] == kept.shape[0], (norm, rho)
+
+
+def _culled(spec, pts):
+    """The points pts (M, n, 4) whose raw draws u = (z - box_lo) / width
+    the sampler's cull keeps, as draws."""
+    u = (pts.reshape(pts.shape[0], -1) - spec.box_lo) / (spec.box_hi - spec.box_lo)
+    return regions._cull(u, regions._proposal_ball(spec))
+
+
+def _sample_every_draw(spec, count, seed):
+    """The sampler's recipe with no cull: scale every draw of every chunk
+    into the box, keep the rows _contains keeps, and weight them."""
+    width = spec.box_hi - spec.box_lo
+    parts = []
+    for index in range(-(-count // regions.CHUNK)):
+        size = min(regions.CHUNK, count - index * regions.CHUNK)
+        flat = np.random.Generator(np.random.Philox(key=[seed, index])).random((size, 4 * spec.n))
+        flat *= width
+        flat += spec.box_lo
+        parts.append(regions._contains(spec, flat.reshape(size, spec.n, 4)))
+    pts = np.concatenate(parts)
+    if not pts.shape[0]:
+        raise EmptyRegion(f"no proposals accepted out of {count}")
+    vals = geometry.measure_density(pts) * float(np.prod(width))
+    mom_vals = vals * (2.0 * np.arctanh(q.vnorm(pts)))
+    samples = bc.WeightedPoints(points=pts, weights=vals / count)
+    return (samples.points, samples.weights, float(np.sum(vals)) / count,
+            float(np.sum(mom_vals)) / count, regions._mc_se(vals, count),
+            regions._mc_se(mom_vals, count), pts.shape[0])
+
+
+def _edge_specs():
+    rng = np.random.default_rng(21)
+    for n in (1, 2, 3):
+        unit = rng.standard_normal((n, 4))
+        unit /= np.linalg.norm(unit)
+        edge = np.zeros((n, 4))
+        edge[0, 0] = 1.0 - 2.0 ** -53
+        for name, center in (("0", 0.0 * unit), ("0.5", 0.5 * unit), ("0.9", 0.9 * unit),
+                             ("1-2^-53", edge)):
+            for rho in (1e-150, 1e-9, 0.3, 1.5, 3.0, 1e3, 1e300):
+                yield pytest.param(regions.geodesic_ball(center, rho),
+                                   id=f"geo-n{n}-c{name}-{rho:g}")
+            for r in (1e-12, 0.01, 0.3):
+                if float(q.vnorm(center)) + r < 1.0:
+                    yield pytest.param(regions.euclidean_ball(center, r),
+                                       id=f"euc-n{n}-c{name}-{r:g}")
+        lo, hi = np.linspace(-0.9, -0.1, 4 * n), np.linspace(0.2, 0.95, 4 * n)
+        yield pytest.param(regions.indicator_region(lambda p: q.vnorm2(p) > 0.04, n, box=(lo, hi)),
+                           id=f"indicator-n{n}")
+    # boxes with a side of 0 (a radius below the rounding of the center, or
+    # one whose half underflows) or of 1e-300, too narrow for a ball in u
+    yield pytest.param(regions.euclidean_ball([[0.5, 0.0, 0.0, 0.0]], 1e-17), id="euc-side-0")
+    yield pytest.param(regions.geodesic_ball(ORIGIN1, 5e-324), id="geo-side-0")
+    box = (np.array([1e-300, 0.3, 0.3, 0.3]), np.array([2e-300, 0.31, 0.31, 0.31]))
+    yield pytest.param(regions.indicator_region(lambda p: np.ones(len(p), bool), 1, box=box),
+                       id="indicator-side-1e-300")
+
+
+def _outcome(fn):
+    """fn(), or the class name and message of the QhbError it raises."""
+    try:
+        return fn()
+    except QhbError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("spec", list(_edge_specs()))
+def test_cull_keeps_the_sample_of_every_draw(spec):
+    # the cull drops only draws _contains would drop: every field of the
+    # sample, or the error raised, is that of scaling and testing every draw
+    count = regions.CHUNK + 50
+    got = _outcome(lambda: _sample_fields(regions.sample_region(spec, count, 4)))
+    want = _outcome(lambda: _sample_every_draw(spec, count, 4))
+    assert len(got) == len(want)
+    assert all(map(np.array_equal, got, want))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cull_keeps_euclidean_points_just_inside(n):
+    rng = np.random.default_rng(40 + n)
+    unit = rng.standard_normal((n, 4))
+    unit /= np.linalg.norm(unit)
+    dirs = rng.standard_normal((200, n, 4))
+    dirs /= q.vnorm(dirs)[:, None, None]
+    for norm in (0.0, 0.5, 0.9):
+        for r in (1e-12, 0.01, 0.3):
+            if norm + r >= 1.0:
+                continue
+            spec = regions.euclidean_ball(norm * unit, r)
+            pts = spec.center + r * (1.0 - 1e-12) * dirs
+            assert _culled(spec, pts).shape[0] == pts.shape[0], (norm, r)
+            if r > 1e-12:   # at r = 1e-12 the rounding of c + v exceeds r 1e-12
+                assert np.array_equal(regions._contains(spec, pts), pts), (norm, r)
 
 
 def test_geodesic_ball_past_every_kept_proposal_keeps_them_all():
