@@ -9,8 +9,10 @@ Each command runs as `python -m qhb.cli ...` with PYTHONPATH=SRC_DIR, in
 scripts/fixtures/, on the point set and region files kept there (seven
 of them malformed on purpose: a null, a boolean and a string weight, a
 weight of 401 digits, an object for the points, points nested 5000 deep
-and a null radius).  The output names every command, then its
-stdout, the first line of its stderr and its exit code, and holds no path,
+and a null radius) and one region too small to weigh (a geodesic ball
+of radius 1e-150, whose proposal box has volume 0).  The output names
+every command, then its stdout, the first line of its stderr and its
+exit code, and holds no path,
 so the CLI output of two source trees (say, a checkout of the parent
 commit and the working tree) is compared with one diff:
 
@@ -56,6 +58,7 @@ COMMANDS = (
         ["barycenter", "huge_weight.json"],
         ["barycenter", "deep_points.json"],
         ["region-barycenter", "null_radius.json", "--samples", "1000"],
+        ["region-barycenter", "tiny_geodesic_ball.json", "--samples", "1000", "--seed", "3"],
         ["barycenter", "two_points.json", "--tol", "nan"],
         ["region-barycenter", "geodesic_ball_n2.json", "--samples", "1000",
          "--seed", "18446744073709551616"],

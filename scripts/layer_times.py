@@ -16,6 +16,8 @@ as the median over R rounds of the best of K calls:
   origin, where the kernel maps no point;
 * `hua_apply block n=..`: one `mobius.hua_apply` of 8192 / n points, one
   block of the kernel's partition;
+* `distance n=.. N=..`: one `geometry.distance` of N points to one point,
+  for n in {1, 2, 4} and N in {1, 32, 1e3, 1e5};
 * `stalled solve`: `solve` at tol = 1e-300 of a five-point set at n = 2,
   which ends "stalled"; its count of all `_sweep` calls is reported with
   it;
@@ -45,7 +47,7 @@ import sys
 _CHILD = r"""
 import json, sys, time
 import numpy as np
-from qhb import barycenter as bc, mobius, regions
+from qhb import barycenter as bc, geometry, mobius, regions
 from qhb.verify import random_ball_point, random_weighted_points
 
 rounds, reps = int(sys.argv[1]), int(sys.argv[2])
@@ -97,6 +99,11 @@ for n in (1, 2, 4):
     data = random_weighted_points(np.random.default_rng(n), n, 8192 // n)
     phi = mobius.hua_new(random_ball_point(np.random.default_rng(n), n, 0.6))
     out[f"hua_apply block n={n} ms"] = timed(lambda: mobius.hua_apply(phi, data.points))
+for n in (1, 2, 4):
+    c = random_ball_point(np.random.default_rng(n), n, 0.6)
+    for size in (1, 32, 1000, 100000):
+        pts = random_weighted_points(np.random.default_rng(1000 * n + size), n, size).points
+        out[f"distance n={n} N={size} ms"] = timed(lambda: geometry.distance(pts, c))
 stall = random_weighted_points(np.random.default_rng(0), 2, 5)
 cfg = bc.SolverConfig(tol=1e-300)
 res = bc.solve(stall, cfg)

@@ -34,4 +34,6 @@ class EmptyData(QhbError):
 
 
 class EmptyRegion(QhbError):
-    """Region sampling accepted no points."""
+    """Region sampling accepted no points, or a region so small that the
+    weights of the points it accepted round to 0 (its proposal box has
+    volume 0, or one near the smallest float)."""

@@ -20,17 +20,28 @@ _COINCIDENT = 1e-15
 
 
 def distance(p, q_point) -> np.ndarray:
-    """Bergman distance d(p,q) = log((1+m)/(1-m)), m = |Phi_q(p)|.
+    """Bergman distance d(p, c), c = q_point, from S = sinh^2(d/2) in
+    Poisson form less one:
+
+        S = ((1 - |c|^2)|p - c|^2 + |<p - c, c>|^2) / ((1 - |p|^2)(1 - |c|^2)),
+        d = 2 asinh(sqrt(S)) = log1p(2S + 2 sqrt(S(1 + S))).
+
+    The numerator is a sum of squares in p - c (mobius._sinh2_rows, also
+    the geodesic-ball sampler's membership test), so nothing cancels as
+    p -> c; the numerator c - A_c p of Phi_c(p), whose norm is tanh(d/2),
+    does cancel there.
+    The log1p form gives d(0, 1/2) = log 3 to the ulp, where
+    2 * arcsinh(sqrt(S)) is one ulp low.
 
     p may carry leading batch axes; q_point is a single point.
     """
-    phi = mobius.hua_new(q_point)
-    p = mobius.ball_points(p, phi.n)
-    flat = p.reshape(-1, 4 * phi.n)
-    m2 = np.empty(flat.shape[0])
-    for rows, mapped, _ in mobius._hua_blocks(phi.u, flat):
-        m2[rows] = np.einsum("ji,ji->i", mapped, mapped)
-    return 2.0 * np.arctanh(np.sqrt(m2).reshape(p.shape[:-2]))
+    c = q.hvector(q_point)
+    c2 = mobius._ball_norm2(c)
+    p = q.hvectors(p, c.shape[0])
+    p2 = mobius._ball_norm2(p)
+    s = mobius._sinh2_rows(c, p.reshape(-1, c.size)).reshape(p2.shape)
+    s /= (1.0 - p2) * (1.0 - c2)
+    return np.log1p(2.0 * s + 2.0 * np.sqrt(s * (1.0 + s)))
 
 
 def cosh2_half_distance(x, y) -> np.ndarray:
@@ -114,9 +125,9 @@ def geodesic_between(p, q_point) -> GeodesicChart:
 def measure_density(z) -> np.ndarray:
     """Density 4^(2n) / (1-|z|^2)^(2n+2) of the invariant volume w.r.t.
     Lebesgue measure on R^(4n).  Batched over z."""
-    z = mobius.ball_points(z)
+    z = q.hvectors(z)
+    z2 = mobius._ball_norm2(z)
     n = z.shape[-2]
-    z2 = q.vnorm2(z)
     return 4.0 ** (2 * n) / (1.0 - z2) ** (2 * n + 2)
 
 

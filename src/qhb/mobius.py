@@ -87,9 +87,10 @@ def hua_new(u) -> HuaInvolution:
 # by coordinate, so everything after the GEMMs is an operation on rows of
 # length M, not M operations on rows of length 4.  At the origin, where
 # solve starts, Phi_0 = -id and the kernel returns 0 - z without its GEMMs
-# or division.  hua_apply and the solver run this kernel;
-# projective_apply of hua_matrix_array(phi.u) is a separate code path, the
-# tests' reference.
+# or division.  hua_apply and the solver run this kernel, the passes that
+# use the images of Phi_c; the distance d(z, c) takes no image and runs
+# _sinh2_rows instead.  projective_apply of hua_matrix_array(phi.u) is a
+# separate code path, the tests' reference.
 
 _E = np.eye(4)
 _QMUL = q.qmul(_E[:, None], _E[None, :])  # _QMUL[a, b] = e_a e_b, e = (1, i, j, k)
@@ -98,20 +99,21 @@ _QMUL = q.qmul(_E[:, None], _E[None, :])  # _QMUL[a, b] = e_a e_b, e = (1, i, j,
 # x d = sum_f d_f (x e_f) is one gather, one multiply and three adds
 _DIV_ROW = np.abs(_QMUL).argmax(axis=0)
 _DIV_SIGN = np.take_along_axis(_QMUL, _DIV_ROW[None], axis=0)[0]
-# Every pass over many points (hua_apply, the solver's sweep, distance, the
-# geodesic-ball sampler's inner products) runs on the blocks of _blocks, at
-# most _BLOCK // n points, so each of the kernel's GEMMs has 16 * _BLOCK
-# multiply-adds, below the 4 * 65536 up to which OpenBLAS stays on the
-# calling thread: a threaded GEMM wakes worker threads that spin on the
-# other cores, and on a loaded machine each call waits.
+# Every pass over many points (hua_apply, the solver's sweep, and
+# _sinh2_rows for distance and the geodesic-ball sampler) runs on the
+# blocks of _blocks, at most _BLOCK // n points, so each of the kernel's
+# GEMMs has 16 * _BLOCK multiply-adds, below the 4 * 65536 up to which
+# OpenBLAS stays on the calling thread: a threaded GEMM wakes worker
+# threads that spin on the other cores, and on a loaded machine each call
+# waits.
 _BLOCK = 8192
 
 
 def _inner_matrix(c: np.ndarray) -> np.ndarray:
     """The real (4n, 4) matrix of z -> <z, c>: flat @ _inner_matrix(c) is
     <z, c> for the rows of flat (M, 4n), each a point of H^n.  The kernel
-    and the geodesic-ball sampler's membership test (_sinh2_rows) both take
-    <., c> here."""
+    and the Poisson form of the distance (_sinh2_rows) both take <., c>
+    here."""
     return (q.qconj(c) @ _QMUL.reshape(4, 16)).reshape(4 * c.shape[0], 4)
 
 
@@ -178,7 +180,9 @@ def _sinh2_rows(c: np.ndarray, flat: np.ndarray) -> np.ndarray:
     """sinh^2(d(z,c)/2) (1 - |z|^2)(1 - |c|^2) for the rows z of flat
     (M, 4n), as (1 - |c|^2)|z - c|^2 + |<z - c, c>|^2: a sum of squares,
     so nothing cancels for z near c, from one product with
-    _inner_matrix(c) per block of _blocks; no Phi_c is formed."""
+    _inner_matrix(c) per block of _blocks; no Phi_c is formed.  Its two
+    callers: geometry.distance, and the geodesic-ball sampler's membership
+    test (regions._contains)."""
     n = c.shape[0]
     m_in = _inner_matrix(c)
     s2 = 1.0 - float(q.vnorm2(c))

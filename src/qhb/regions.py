@@ -303,12 +303,16 @@ def sample_region(spec: RegionSpec, count: int, seed: int) -> SampleSet:
 
     box_volume = float(np.prod(spec.box_hi - spec.box_lo))
     vals = geometry.measure_density(accepted) * box_volume  # per-proposal mass values
+    weights = vals / count
+    if not (weights > 0.0).all():
+        raise EmptyRegion(f"region too small to weigh: its proposal box has volume "
+                          f"{box_volume:.3g}, and the weights of its points round to 0")
     mass = float(np.sum(vals)) / count
     dist0 = 2.0 * np.arctanh(q.vnorm(accepted))
     mom_vals = vals * dist0
     moment = float(np.sum(mom_vals)) / count
 
-    samples = WeightedPoints(points=accepted, weights=vals / count)
+    samples = WeightedPoints(points=accepted, weights=weights)
     return SampleSet(
         samples=samples, seed=seed, count_requested=count,
         count_accepted=accepted.shape[0], total_mass_estimate=mass,

@@ -251,6 +251,12 @@ def check_intertwine_pointwise(rng, trials: int):
 
 
 def check_poisson_distance(rng, trials: int):
+    """log cosh^2(d/2) two ways: cosh2_half_distance, the Poisson kernel
+    from quaternion products, against distance, whose sinh^2(d/2) is the
+    same kernel less one from the real matrix of <., c>
+    (mobius._sinh2_rows).  It ties the two evaluations of the kernel, not
+    the kernel to |Phi|: norm_relation ties |Phi_u(z)| to the Poisson
+    form."""
     for n, b in _batches(trials, 64):
         y, z = random_ball_point(rng, n), random_ball_points(rng, n, b)
         lhs = np.log(geometry.cosh2_half_distance(z, y))

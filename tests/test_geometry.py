@@ -1,4 +1,6 @@
+import decimal
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -60,6 +62,62 @@ def test_distance_rejects_outside_points():
     # p may be a batch, q_point is one point
     with pytest.raises(DimensionMismatch):
         geometry.distance(pt(0.0), np.zeros((2, 1, 4)))
+
+
+def _decimal_distance(p, c):
+    """d(p, c) for one point p of H^n, from sinh^2(d/2) in Poisson form
+    less one, ((1-|c|^2)|p-c|^2 + |<p-c,c>|^2) / ((1-|p|^2)(1-|c|^2)),
+    in exact rational arithmetic on the float inputs, and then
+    2 asinh(sqrt(.)) in 40-digit decimal arithmetic."""
+    def mul(a, b):
+        return [a[0] * b[0] - a[1] * b[1] - a[2] * b[2] - a[3] * b[3],
+                a[0] * b[1] + a[1] * b[0] + a[2] * b[3] - a[3] * b[2],
+                a[0] * b[2] - a[1] * b[3] + a[2] * b[0] + a[3] * b[1],
+                a[0] * b[3] + a[1] * b[2] - a[2] * b[1] + a[3] * b[0]]
+
+    p = [[Fraction(float(x)) for x in row] for row in p]
+    c = [[Fraction(float(x)) for x in row] for row in c]
+    delta = [[a - b for a, b in zip(pj, cj)] for pj, cj in zip(p, c)]
+    ip = [sum(col) for col in zip(*(mul([cj[0], -cj[1], -cj[2], -cj[3]], dj)
+                                    for cj, dj in zip(c, delta)))]
+    c2 = sum(x * x for row in c for x in row)
+    num = (1 - c2) * sum(x * x for row in delta for x in row) + sum(x * x for x in ip)
+    s = num / ((1 - sum(x * x for row in p for x in row)) * (1 - c2))
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        root = (decimal.Decimal(s.numerator) / decimal.Decimal(s.denominator)).sqrt()
+        return float(2 * (root + (1 + root * root).sqrt()).ln())
+
+
+def test_distance_accuracy_against_decimal_reference(rng):
+    # separations 1e-2 ... 1e-12 from centers with |c| <= 0.9: the Poisson
+    # form has no term that cancels as p -> c, so the relative error stays
+    # within a few eps (2 artanh|Phi_c(p)| is off by up to 5.8e-8 at 1e-9
+    # and 7.6e-5 at 1e-12 on these pairs)
+    eps = float(np.finfo(float).eps)
+    worst = 0.0
+    for n in (1, 2, 3):
+        for rmax in (0.1, 0.5, 0.9):
+            c = random_ball_point(rng, n, rmax)
+            for k in range(2, 13):
+                p = c + 10.0 ** -k * random_unit_vectors(rng, n, 4)
+                got = geometry.distance(p, c)
+                ref = np.array([_decimal_distance(pi, c) for pi in p])
+                worst = max(worst, float(np.max(np.abs(got - ref) / ref)))
+    assert worst <= 16.0 * eps
+
+
+def test_distance_runs_no_hua_kernel(rng, monkeypatch):
+    # d(p, c) comes from the Poisson form alone; no Phi_c is formed
+    def no_kernel(c, flat):
+        raise AssertionError("distance called the Hua kernel")
+
+    monkeypatch.setattr(mobius, "_hua_rows", no_kernel)
+    for n in (1, 2, 4):
+        for c in (np.zeros((n, 4)), random_ball_point(rng, n)):
+            p = random_ball_points(rng, n, 2 * (mobius._BLOCK // n) + 3)
+            assert np.all(geometry.distance(p, c) >= 0.0)
+            assert float(geometry.distance(c, c)) == 0.0
 
 
 def test_triangle_inequality(rng):

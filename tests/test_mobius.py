@@ -163,9 +163,10 @@ def test_division_table_is_the_product_table():
 
 
 def test_kernel_results_are_c_contiguous(rng):
-    # the kernel runs component-major; what leaves hua_apply, distance and
-    # the sweep is laid out as the caller's point arrays are, also from the
-    # kernel's return at the origin (a -0.0 center is the origin too)
+    # the kernel runs component-major; what leaves hua_apply and the sweep
+    # is laid out as the caller's point arrays are, also from the kernel's
+    # return at the origin (a -0.0 center is the origin too), and so is
+    # what leaves distance, which runs _sinh2_rows on the same blocks
     for n in (1, 2, 4):
         for u in (random_ball_point(rng, n), np.zeros((n, 4)), np.full((n, 4), -0.0)):
             phi = mobius.hua_new(u)

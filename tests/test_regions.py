@@ -151,6 +151,19 @@ def test_sampler_seeds_above_2_63_are_distinct():
     assert regions.sample_region(spec, 2000, 2**64 - 1).count_accepted > 0
 
 
+def _hua_distance(pts, center):
+    """d(z, c) = 2 artanh|Phi_c(z)| for the points pts (..., n, 4), through
+    the Hua kernel: a reference for the sampler's Poisson-form test that
+    forms Phi_c, where the test does not (geometry.distance runs that same
+    test, so it is no reference for it)."""
+    c = q.hvector(center)
+    flat = pts.reshape(-1, 4 * c.shape[0])
+    m2 = np.empty(flat.shape[0])
+    for rows, mapped, _ in mobius._hua_blocks(c, flat):
+        m2[rows] = np.einsum("ji,ji->i", mapped, mapped)
+    return 2.0 * np.arctanh(np.sqrt(m2).reshape(pts.shape[:-2]))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_geodesic_sampler_accepts_the_metric_ball(n):
     # the Poisson-form test keeps exactly the proposals of the regenerated
@@ -175,7 +188,7 @@ def test_geodesic_sampler_accepts_the_metric_ball(n):
                 flat += spec.box_lo
                 pts = flat.reshape(size, n, 4)
                 pts = pts[q.vnorm2(pts) < bc.MAX_NORM2]
-                parts.append(pts[geometry.distance(pts, center) < rho])
+                parts.append(pts[_hua_distance(pts, center) < rho])
             want = np.concatenate(parts)
             if want.shape[0]:
                 got = regions.sample_region(spec, sum(sizes), 11).samples.points
@@ -188,7 +201,7 @@ def test_geodesic_sampler_accepts_the_metric_ball(n):
             near = np.concatenate([geometry.geodesic_point(ch, rho * rng.uniform(0.0, 2.0, 50))
                                    for ch in charts])
             got = regions._contains(spec, near)
-            assert np.array_equal(got, near[geometry.distance(near, center) < rho]), (norm, rho)
+            assert np.array_equal(got, near[_hua_distance(near, center) < rho]), (norm, rho)
             margin = 1e-9 + 1e-14 / rho
             inside = np.array([geometry.geodesic_point(ch, rho * (1.0 - margin)) for ch in charts])
             outside = np.array([geometry.geodesic_point(ch, rho * (1.0 + margin)) for ch in charts])
@@ -220,7 +233,11 @@ def _sample_every_draw(spec, count, seed):
     pts = np.concatenate(parts)
     if not pts.shape[0]:
         raise EmptyRegion(f"no proposals accepted out of {count}")
-    vals = geometry.measure_density(pts) * float(np.prod(width))
+    volume = float(np.prod(width))
+    vals = geometry.measure_density(pts) * volume
+    if not np.all(vals / count > 0.0):
+        raise EmptyRegion(f"region too small to weigh: its proposal box has volume "
+                          f"{volume:.3g}, and the weights of its points round to 0")
     mom_vals = vals * (2.0 * np.arctanh(q.vnorm(pts)))
     samples = bc.WeightedPoints(points=pts, weights=vals / count)
     return (samples.points, samples.weights, float(np.sum(vals)) / count,
@@ -273,6 +290,21 @@ def test_cull_keeps_the_sample_of_every_draw(spec):
     want = _outcome(lambda: _sample_every_draw(spec, count, 4))
     assert len(got) == len(want)
     assert all(map(np.array_equal, got, want))
+
+
+@pytest.mark.parametrize("spec, volume", [
+    (regions.geodesic_ball(ORIGIN1, 1e-150), "0"),
+    (regions.geodesic_ball(np.zeros((2, 4)), 1e-150), "0"),
+    (regions.geodesic_ball(ORIGIN1, 1e-80), "1e-320"),
+    (regions.euclidean_ball([[0.5, 0.0, 0.0, 0.0]], 1e-17), "0"),
+], ids=["geo-n1-1e-150", "geo-n2-1e-150", "geo-n1-1e-80", "euc-1e-17"])
+def test_region_whose_weights_underflow_is_empty(spec, volume):
+    # points are accepted, but their weights (density x box volume / count)
+    # round to 0: the error names the region's size, not a point
+    with pytest.raises(EmptyRegion) as info:
+        regions.sample_region(spec, regions.CHUNK + 50, 4)
+    assert str(info.value) == (f"region too small to weigh: its proposal box has volume "
+                               f"{volume}, and the weights of its points round to 0")
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
