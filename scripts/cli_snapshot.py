@@ -9,8 +9,10 @@ Each command runs as `python -m qhb.cli ...` with PYTHONPATH=SRC_DIR, in
 scripts/fixtures/, on the point set and region files kept there (seven
 of them malformed on purpose: a null, a boolean and a string weight, a
 weight of 401 digits, an object for the points, points nested 5000 deep
-and a null radius) and one region too small to weigh (a geodesic ball
-of radius 1e-150, whose proposal box has volume 0).  The output names
+and a null radius), three two-point sets whose total weight lies outside
+the range the solver takes (weights 1e308, 1e300 and 1e-320) and one
+region too small to weigh (a geodesic ball of radius 1e-150, whose
+proposal box has volume 0).  The output names
 every command, then its stdout, the first line of its stderr and its
 exit code, and holds no path,
 so the CLI output of two source trees (say, a checkout of the parent
@@ -48,6 +50,7 @@ COMMANDS = (
         ["volume", "--rho", "0.7", "--dim", "3"],
         ["volume", "--dim", "0", "--rho", "1"],
         ["volume", "--rho", "-1", "--dim", "1"],
+        ["volume", "--dim", "85", "--rho", "1"],
         ["region-barycenter", "geodesic_ball_n1.json", "--samples", "1048576", "--seed", "3"],
         ["region-barycenter", "geodesic_ball_n2.json", "--samples", "1048576", "--seed", "3"],
         ["region-barycenter", "euclidean_ball_n1.json", "--samples", "200000", "--seed", "3"],
@@ -57,6 +60,9 @@ COMMANDS = (
         ["barycenter", "string_weight.json"],
         ["barycenter", "huge_weight.json"],
         ["barycenter", "deep_points.json"],
+        ["barycenter", "weights_1e308.json"],
+        ["barycenter", "weights_1e300.json"],
+        ["barycenter", "weights_1e-320.json"],
         ["region-barycenter", "null_radius.json", "--samples", "1000"],
         ["region-barycenter", "tiny_geodesic_ball.json", "--samples", "1000", "--seed", "3"],
         ["barycenter", "two_points.json", "--tol", "nan"],

@@ -29,11 +29,15 @@ as the median over R rounds of the best of K calls:
   proposal-ball cull of the raw draws) and `survivors` (scaling the
   survivors into the box and testing them with `regions._contains`),
   with the counts of survivors and of kept points.  On a tree without
-  the cull, `survivors` scales and tests every draw and `cull` is absent.
+  the cull, `survivors` scales and tests every draw and `cull` is absent;
+* `region <ball> n=..`: the whole `regions.region_barycenter` of each of
+  those balls at 2^20 proposals (seed 3), and `sample+solve`, its
+  `sample_region` and `solve` alone; `se` is the difference of the two,
+  the standard-error pass.  Only public calls, so it runs on every tree.
 
 Inputs come from `verify.random_weighted_points` with fixed seeds, and
-the child runs with OPENBLAS_NUM_THREADS=min(2, nproc), as bench/run.py
-does, unless the caller set it.
+the child runs with OPENBLAS_NUM_THREADS=min(2, nproc) and one sampler
+thread (QHB_THREADS=1), as bench/run.py does, unless the caller set them.
 """
 
 from __future__ import annotations
@@ -144,6 +148,12 @@ for name, spec in chunk_specs.items():
     out[f"{row} survivors ms"] = timed(scale_and_test)
     out[f"{row} survivors"] = survivors.shape[0]
     out[f"{row} kept"] = scale_and_test().shape[0]
+for name, spec in chunk_specs.items():
+    row = f"region {name}"
+    out[f"{row} ms"] = timed(lambda: regions.region_barycenter(spec, 1 << 20, 3))
+    out[f"{row} sample+solve ms"] = timed(
+        lambda: bc.solve(regions.sample_region(spec, 1 << 20, 3).samples))
+    out[f"{row} se ms"] = out[f"{row} ms"] - out[f"{row} sample+solve ms"]
 print(json.dumps(out))
 """
 
@@ -156,6 +166,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     env = {**os.environ, "PYTHONPATH": os.path.abspath(args.src)}
     env.setdefault("OPENBLAS_NUM_THREADS", str(min(2, os.cpu_count() or 1)))
+    env.setdefault("QHB_THREADS", "1")
     proc = subprocess.run([sys.executable, "-c", _CHILD, str(args.rounds), str(args.reps)],
                           env=env, check=True, capture_output=True, text=True)
     sys.stdout.write(proc.stdout)

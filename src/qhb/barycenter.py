@@ -44,7 +44,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -60,15 +59,28 @@ _EPS = float(np.finfo(float).eps)
 # tested as |q|^2 < MAX_NORM2; closer points make the energy ill-conditioned
 BOUNDARY_MARGIN = 1e-12
 MAX_NORM2 = (1.0 - BOUNDARY_MARGIN) ** 2
+# the range of a point set's total weight (WeightedPoints)
+W_MIN, W_MAX = 2.0 ** -459, 2.0 ** 511
 
 
 @dataclass(frozen=True, eq=False)
 class WeightedPoints:
-    """Finite weighted point set in the open unit ball of H^n."""
+    """Finite weighted point set in the open unit ball of H^n, of total
+    weight W in [W_MIN, W_MAX] = [2^-459, 2^511] (about 6.7e-139 to 6.7e153).
+
+    The solver takes |R| as the root of the sum of the squares of R's
+    components, and |R| <= W: W^2 < 2^1022 keeps that sum finite, and every
+    other sum of a sweep is below ~100 W.  R rounds at about eps W, and
+    eps W >= 2^-511 keeps the square of every component above that rounding
+    a normal float: below it, |R| loses digits or reads 0, and solve would
+    report "converged" at a wrong point.  The barycenter does not change
+    when every weight is scaled by one factor, so a set outside the range
+    is refused, to be rescaled."""
 
     points: np.ndarray   # (N, n, 4)
     weights: np.ndarray  # (N,), all > 0
     _log_const: float = field(init=False, repr=False)
+    total_weight: float = field(init=False, repr=False)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -91,6 +103,13 @@ class WeightedPoints:
             raise NotInBall(f"point {i}: |q| = {math.sqrt(nm2[i]):.17g} is not inside "
                             f"|q| < 1 - {BOUNDARY_MARGIN:g}")
         pts, wts = pts.copy(), wts.copy()
+        with np.errstate(over="ignore"):
+            total = float(np.sum(wts))
+        if not W_MIN <= total <= W_MAX:
+            raise QhbError(f"total weight {total:.3g} is outside [{W_MIN:.3g}, {W_MAX:.3g}]; "
+                           "the barycenter does not change when every weight is scaled "
+                           "by one factor, so rescale the weights")
+        object.__setattr__(self, "total_weight", total)
         pts.flags.writeable = False
         wts.flags.writeable = False
         object.__setattr__(self, "points", pts)
@@ -106,10 +125,6 @@ class WeightedPoints:
     @property
     def n(self) -> int:
         return self.points.shape[1]
-
-    @cached_property
-    def total_weight(self) -> float:
-        return float(np.sum(self.weights))
 
 
 def weighted_points(points, weights=None) -> WeightedPoints:

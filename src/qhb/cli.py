@@ -177,7 +177,9 @@ def _result_fields(res: barycenter.SolverResult) -> dict:
 
 
 def _emit(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
+    """Print payload as strict JSON: a NaN or an infinity, which JSON has
+    no literal for, raises ValueError (exit code 1)."""
+    print(json.dumps(payload, indent=2, allow_nan=False))
 
 
 def cmd_barycenter(args) -> int:

@@ -136,6 +136,14 @@ def ball_volume(rho, n: int) -> np.ndarray:
 
         (4 pi)^(2n)/(2n+1)! * sinh^(4n)(rho/2) * (1 + 2n cosh^2(rho/2)).
 
+    It is evaluated as written where (2n+1)! (n <= 84), sinh^(4n)(rho/2) and
+    the volume are normal floats.  Elsewhere one of them overflows or
+    underflows, though the volume need not, and the volume is the product of the
+    factors 4 pi sinh^2(rho/2) / k, k = 1 .. 2n, and (1 + 2n cosh^2(rho/2))
+    / (2n + 1), kept as a mantissa and a power of two (np.frexp) and
+    rounded once by np.ldexp: 0.0 where the volume underflows, inf where it
+    overflows, never NaN, and within a few n eps of the exact value.
+
     Raises DimensionMismatch for n < 1, NonFinite for a NaN or infinite
     rho and QhbError for a negative one.
     """
@@ -147,8 +155,19 @@ def ball_volume(rho, n: int) -> np.ndarray:
     if np.any(rho < 0.0):
         raise QhbError("radius must be >= 0")
     half = rho / 2.0
-    lead = (4.0 * math.pi) ** (2 * n) / math.factorial(2 * n + 1)
-    return lead * np.sinh(half) ** (4 * n) * (1.0 + 2 * n * np.cosh(half) ** 2)
+    with np.errstate(over="ignore", under="ignore"):
+        x, tail = 4.0 * math.pi * np.sinh(half) ** 2, 1.0 + 2 * n * np.cosh(half) ** 2
+        m, e = np.ones_like(half), 0
+        for k in range(1, 2 * n + 2):
+            m, de = np.frexp(m * ((x if k <= 2 * n else tail) / k))
+            e = e + de
+        scaled = np.ldexp(m, e)
+        if 2 * n + 1 > 170:  # (2n+1)! overflows a float
+            return scaled
+        s4 = np.sinh(half) ** (4 * n)
+        v = (4.0 * math.pi) ** (2 * n) / math.factorial(2 * n + 1) * s4 * tail
+        tiny = np.finfo(float).tiny
+        return np.where((s4 >= tiny) & (v >= tiny) & (v < math.inf), v, scaled)
 
 
 # ---------------------------------------------------------------------------

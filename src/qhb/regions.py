@@ -323,12 +323,10 @@ def sample_region(spec: RegionSpec, count: int, seed: int) -> SampleSet:
 
 def _mc_se(nonzero_vals: np.ndarray, count: int) -> float:
     """Standard error of a mean over `count` proposals whose only nonzero
-    values are `nonzero_vals` (rejected proposals contribute zero), shape
-    (M, ...); for vector values, the root of the summed variances of the
-    trailing components."""
-    mean = np.sum(nonzero_vals, axis=0) / count
-    second = np.sum(nonzero_vals * nonzero_vals, axis=0) / count
-    return float(np.sqrt(np.sum(np.maximum(second - mean * mean, 0.0) / count)))
+    values are the scalars `nonzero_vals` (rejected proposals give 0)."""
+    mean = np.sum(nonzero_vals) / count
+    second = np.sum(nonzero_vals * nonzero_vals) / count
+    return float(np.sqrt(np.maximum(second - mean * mean, 0.0) / count))
 
 
 @dataclass(frozen=True, eq=False)
@@ -342,12 +340,13 @@ def region_barycenter(spec: RegionSpec, count: int, seed: int,
                       config: SolverConfig | None = None) -> RegionResult:
     """Sample the region and solve for the barycenter of the sampled measure.
 
-    The returned standard error propagates the MC error of the residual
-    through the (well-conditioned) residual equation as SE(R)/mass."""
+    The standard error is SE(R)/mass.  R's terms over the count proposals
+    are count w_i Phi_c(q_i), or 0 where rejected, so the summed variance of
+    its 4n components is sum_i w_i^2 |Phi_c(q_i)|^2 - |R|^2 / count, with
+    |Phi_c(q)| = tanh(d(c, q)/2) and |R| the solver's: no point is mapped."""
     ss = sample_region(spec, count, seed)
     res = solve(ss.samples, config)
-    phi = mobius.hua_new(res.barycenter)
-    mapped = mobius.hua_apply(phi, ss.samples.points)
-    y = (ss.samples.weights * count)[:, None, None] * mapped  # per-proposal residual terms
-    bary_se = _mc_se(y, count) / ss.total_mass_estimate
+    wt = ss.samples.weights * np.tanh(geometry.distance(ss.samples.points, res.barycenter) / 2.0)
+    var = float(np.sum(wt * wt)) - res.residual_norm ** 2 / count  # pairwise, not BLAS
+    bary_se = math.sqrt(max(var, 0.0)) / ss.total_mass_estimate
     return RegionResult(result=res, sample_set=ss, barycenter_standard_error=bary_se)

@@ -61,6 +61,39 @@ def test_weighted_points_reject_non_finite(coord, weight):
                           weights=np.array([1.0, weight]))
 
 
+@pytest.mark.parametrize("weight", [1e308, 1e300, 1e-320, np.nextafter(2.0 ** 510, math.inf),
+                                    np.nextafter(2.0 ** -460, 0.0)],
+                         ids=["sum-overflows", "square-overflows", "subnormal", "above-W_MAX",
+                              "below-W_MIN"])
+def test_weighted_points_refuse_a_total_weight_out_of_range(weight):
+    # at these totals solve claimed "converged" at the origin (1e308: |R| = inf,
+    # G = NaN; 1e-320: |R| = 0) or "stalled" at |R| = inf (1e300)
+    with pytest.raises(QhbError, match=r"^total weight .* is outside .*rescale the weights$"):
+        bc.WeightedPoints(points=pts1(0.5, 0.3), weights=np.full(2, weight))
+
+
+def test_total_weights_at_the_range_ends_solve_like_unit_weights():
+    # the set of the refused cases above, at W = W_MIN and W = W_MAX, and
+    # seeded sets scaled to the ends of the range: the barycenter does not
+    # move with the scale
+    points = np.array([[[0.5, 0.0, 0.0, 0.0]], [[0.3, 0.2, 0.0, 0.0]]])
+    unit = bc.solve(bc.WeightedPoints(points=points, weights=np.ones(2)))
+    assert np.allclose(unit.barycenter[0], [0.398, 0.090, 0.0, 0.0], atol=1e-3)
+    for total in (bc.W_MIN, bc.W_MAX):
+        data = bc.WeightedPoints(points=points, weights=np.full(2, total / 2.0))
+        assert data.total_weight == total
+        res = bc.solve(data)
+        assert res.converged and np.array_equal(res.barycenter, unit.barycenter)
+    for seed in range(12):
+        data = random_weighted_points(np.random.default_rng(seed), 1 + seed % 3, 2 + 5 * seed)
+        base = bc.solve(data)
+        e = math.frexp(data.total_weight)[1]
+        for k in (-458 - e, 511 - e):   # totals in [2^-459, 2^-458) and [2^510, 2^511)
+            res = bc.solve(bc.WeightedPoints(points=data.points, weights=data.weights * 2.0 ** k))
+            assert res.converged, (seed, k)
+            assert float(geometry.distance(res.barycenter, base.barycenter)) <= 1e-12
+
+
 def test_weighted_points_leaves_shapes_to_weighted_points_class():
     with pytest.raises(DimensionMismatch):
         bc.weighted_points(np.zeros((3, 0, 4)))

@@ -272,6 +272,32 @@ def test_exit_code_two_when_not_converged(capsys, two_weighted_file):
     assert json.loads(out)["converged"] is False
 
 
+@pytest.mark.parametrize("weight", ["1e308", "1e300", "1e-320"])
+def test_total_weight_out_of_range_exits_one(capsys, tmp_path, weight):
+    # solve claimed "converged" at the origin for 1e308 (printing the
+    # non-JSON Infinity and NaN, exit code 0) and 1e-320, and "stalled"
+    # with |R| = inf for 1e300
+    path = tmp_path / "w.json"
+    path.write_text('{"dimension": 1, "points": [{"coords": [[0.5, 0, 0, 0]], "weight": %s}, '
+                    '{"coords": [[0.3, 0.2, 0, 0]], "weight": %s}]}' % (weight, weight))
+    code, out, err = run(capsys, "barycenter", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: QhbError: total weight ") and "rescale the weights" in err
+
+
+def test_output_is_strict_json(capsys, monkeypatch, two_weighted_file):
+    # a NaN or an infinity in a result exits 1; it was printed as the
+    # non-JSON NaN or Infinity
+    with pytest.raises(ValueError):
+        cli._emit({"residual_norm": math.inf})
+    monkeypatch.setattr(cli.barycenter, "solve", lambda data, cfg: bc.SolverResult(
+        barycenter=np.zeros((1, 4)), residual_norm=math.inf, energy=math.nan, iterations=0,
+        stop_reason="converged"))
+    code, out, err = run(capsys, "barycenter", two_weighted_file)
+    assert code == 1 and out == ""
+    assert err.startswith("error: Out of range float values are not JSON compliant")
+
+
 @pytest.mark.parametrize("flags", [("--tol", "nan"), ("--tol", "inf")], ids=["nan", "inf"])
 def test_non_finite_tol_exits_one(capsys, two_weighted_file, flags):
     code, out, err = run(capsys, "barycenter", two_weighted_file, *flags)
@@ -323,6 +349,13 @@ def test_volume_command(capsys):
     assert float(out) == 0.0
     code, out, _ = run(capsys, "volume", "--rho", str(math.log(3)), "--dim", "1")
     assert float(out) == pytest.approx(88 * math.pi**2 / 81, rel=1e-15)
+
+
+def test_volume_command_at_dimension_85(capsys):
+    # (2n + 1)! overflows a float from n = 85; the volume is a normal float
+    code, out, err = run(capsys, "volume", "--dim", "85", "--rho", "1")
+    assert code == 0 and err == ""
+    assert float(out) == pytest.approx(7.252987743340231e-217, rel=1e-12)
 
 
 @pytest.mark.parametrize("rho", ["nan", "inf"])

@@ -365,6 +365,50 @@ def test_ball_volume_vs_quadrature(n, rho):
     assert closed == pytest.approx(volume_by_quadrature(rho, n), rel=1e-8)
 
 
+_PI_50 = decimal.Decimal("3.1415926535897932384626433832795028841971693993751")
+
+
+def _decimal_ball_volume(rho: float, n: int) -> decimal.Decimal:
+    """(4 pi)^(2n)/(2n+1)! sinh^(4n)(rho/2) (1 + 2n cosh^2(rho/2)) in 50-digit
+    decimal arithmetic on the float rho, with the widest exponent range."""
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emax, ctx.Emin = 50, decimal.MAX_EMAX, decimal.MIN_EMIN
+        e = (decimal.Decimal(float(rho)) / 2).exp()
+        s, c = (e - 1 / e) / 2, (e + 1 / e) / 2
+        return ((4 * _PI_50) ** (2 * n) / math.factorial(2 * n + 1) * s ** (4 * n)
+                * (1 + 2 * n * c * c))
+
+
+@pytest.mark.parametrize("n", [1, 3, 40, 84, 85, 100, 200])
+def test_ball_volume_against_decimal_reference(n):
+    # (2n+1)! overflows a float from n = 85, sinh^(4n) from rho ~ 10 at
+    # n = 40, and both underflow or overflow where the volume need not:
+    # within 1e-12 where the volume is a normal float, 0.0 below, inf
+    # above, never NaN, for a scalar radius and for an array of them
+    tiny = np.finfo(float).tiny
+    rhos = np.concatenate([[0.0, 1e-300, 1e-3, 1.0, 1e3, 1e5], np.geomspace(1e-2, 3e2, 40)])
+    for rho, v in zip(rhos, geometry.ball_volume(rhos, n)):
+        ref = _decimal_ball_volume(rho, n)
+        for got in (float(v), float(geometry.ball_volume(rho, n))):
+            if ref < tiny:
+                assert 0.0 <= got <= tiny, (n, rho)
+            elif ref > np.finfo(float).max:
+                assert got == math.inf, (n, rho)
+            else:
+                assert abs(decimal.Decimal(got) / ref - 1) <= decimal.Decimal("1e-12"), (n, rho)
+
+
+def test_ball_volume_keeps_its_bits_where_the_formula_is_exact():
+    # where (2n+1)!, sinh^(4n)(rho/2) and the volume are normal floats the
+    # volume is the formula as written, bit for bit
+    rho = np.geomspace(1e-3, 20.0, 200)
+    for n in (1, 2, 3, 8):
+        half = rho / 2.0
+        want = ((4.0 * math.pi) ** (2 * n) / math.factorial(2 * n + 1) * np.sinh(half) ** (4 * n)
+                * (1.0 + 2 * n * np.cosh(half) ** 2))
+        assert np.array_equal(geometry.ball_volume(rho, n), want)
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_ball_volume_euclidean_limit(n):
     rho = 1e-3

@@ -1,4 +1,8 @@
+import decimal
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -219,21 +223,25 @@ def _culled(spec, pts):
     return regions._cull(u, regions._proposal_ball(spec))
 
 
-def _sample_every_draw(spec, count, seed):
+def _kept_every_draw(spec, count, seed):
     """The sampler's recipe with no cull: scale every draw of every chunk
-    into the box, keep the rows _contains keeps, and weight them."""
-    width = spec.box_hi - spec.box_lo
+    into the box and keep the rows _contains keeps, in order."""
     parts = []
     for index in range(-(-count // regions.CHUNK)):
         size = min(regions.CHUNK, count - index * regions.CHUNK)
         flat = np.random.Generator(np.random.Philox(key=[seed, index])).random((size, 4 * spec.n))
-        flat *= width
+        flat *= spec.box_hi - spec.box_lo
         flat += spec.box_lo
         parts.append(regions._contains(spec, flat.reshape(size, spec.n, 4)))
-    pts = np.concatenate(parts)
+    return np.concatenate(parts)
+
+
+def _sample_every_draw(spec, count, seed):
+    """_kept_every_draw's rows, weighted as the sampler weighs them."""
+    pts = _kept_every_draw(spec, count, seed)
     if not pts.shape[0]:
         raise EmptyRegion(f"no proposals accepted out of {count}")
-    volume = float(np.prod(width))
+    volume = float(np.prod(spec.box_hi - spec.box_lo))
     vals = geometry.measure_density(pts) * volume
     if not np.all(vals / count > 0.0):
         raise EmptyRegion(f"region too small to weigh: its proposal box has volume "
@@ -290,6 +298,11 @@ def test_cull_keeps_the_sample_of_every_draw(spec):
     want = _outcome(lambda: _sample_every_draw(spec, count, 4))
     assert len(got) == len(want)
     assert all(map(np.array_equal, got, want))
+    # the kept rows themselves, also where their weights are then refused
+    # (a total weight outside WeightedPoints' range, or weights that round to 0)
+    jobs = [(0, regions.CHUNK), (1, 50)]
+    kept = regions._sample_chunks(spec, 4, jobs, regions._proposal_ball(spec))
+    assert np.array_equal(np.concatenate(kept), _kept_every_draw(spec, count, 4))
 
 
 @pytest.mark.parametrize("spec, volume", [
@@ -400,6 +413,133 @@ def test_random_centers_recovered():
         rr = regions.region_barycenter(spec, 100_000, seed=int(rng.integers(2**32)))
         dev = float(np.sqrt(np.sum((rr.result.barycenter - center) ** 2)))
         assert dev <= 3.0 * rr.barycenter_standard_error
+
+
+def _old_se(rr):
+    """barycenter_standard_error by the former recipe: Phi_c of every sample
+    (hua_apply), the per-proposal residual terms count w_i Phi_c(q_i), and
+    the root of the summed variances of their 4n components, over the mass."""
+    ss = rr.sample_set
+    count = ss.count_requested
+    mapped = mobius.hua_apply(mobius.hua_new(rr.result.barycenter), ss.samples.points)
+    y = (ss.samples.weights * count)[:, None, None] * mapped
+    mean = np.sum(y, axis=0) / count
+    second = np.sum(y * y, axis=0) / count
+    return float(np.sqrt(np.sum(np.maximum(second - mean * mean, 0.0) / count))) \
+        / ss.total_mass_estimate
+
+
+def _shell(pts):
+    return (q.vnorm2(pts) > 0.1 ** 2) & (q.vnorm2(pts) < 0.4 ** 2)
+
+
+_CENTERS = {1: [[0.3, 0.1, 0.0, 0.0]], 2: [[0.2, 0.1, 0.0, 0.0], [0.0, 0.0, 0.1, 0.0]],
+            3: [[0.1, 0.0, 0.0, 0.0], [0.0, 0.1, 0.0, 0.0], [0.0, 0.0, 0.0, 0.1]]}
+
+
+def _se_cases():
+    for n, center in _CENTERS.items():
+        count = {1: 100_000, 2: 300_000, 3: 1 << 20}[n]
+        box = (np.full(4 * n, -0.4), np.full(4 * n, 0.4))
+        yield pytest.param(regions.geodesic_ball(center, 1.5), count, None, "converged",
+                           id=f"geo-n{n}")
+        yield pytest.param(regions.euclidean_ball(center, 0.3), count, None, "converged",
+                           id=f"euc-n{n}")
+        yield pytest.param(regions.indicator_region(_shell, n, box=box), count, None,
+                           "converged", id=f"indicator-n{n}")
+    yield pytest.param(regions.geodesic_ball(_CENTERS[2], 1.5), 300_000,
+                       bc.SolverConfig(max_iters=1), "max_iters", id="geo-n2-max_iters")
+    yield pytest.param(regions.euclidean_ball(_CENTERS[1], 0.4), 20_000,
+                       bc.SolverConfig(tol=1e-300), "stalled", id="euc-n1-stalled")
+
+
+@pytest.mark.parametrize("spec, count, config, stop_reason", list(_se_cases()))
+def test_barycenter_standard_error_is_the_hua_recipe(spec, count, config, stop_reason):
+    # sum_i w_i^2 tanh^2(d(c, q_i)/2) - |R|^2/count is the summed variance
+    # the former recipe took from the images Phi_c(q_i); the two agree to
+    # rounding, |R| far from 0 (max_iters) and at the float floor (stalled)
+    rr = regions.region_barycenter(spec, count, 5, config)
+    assert rr.result.stop_reason == stop_reason
+    assert rr.sample_set.count_accepted >= 20
+    old = _old_se(rr)
+    assert abs(rr.barycenter_standard_error - old) <= 1e-13 * old
+
+
+def _decimal_se(rr):
+    """barycenter_standard_error from its definition, SE(R)/mass, with R's
+    terms count w_i Phi_c(q_i) over count proposals (0 at the rejected
+    ones), in 40-digit decimal arithmetic on the float sample, barycenter
+    and mass: Phi_c(q) = (c - A_c q)(1 - <q,c>)^{-1}, A_c q = c <q,c>/(1+s) + s q."""
+    ss = rr.sample_set
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        dec = decimal.Decimal
+
+        def mul(a, b):
+            return [a[0] * b[0] - a[1] * b[1] - a[2] * b[2] - a[3] * b[3],
+                    a[0] * b[1] + a[1] * b[0] + a[2] * b[3] - a[3] * b[2],
+                    a[0] * b[2] - a[1] * b[3] + a[2] * b[0] + a[3] * b[1],
+                    a[0] * b[3] + a[1] * b[2] - a[2] * b[1] + a[3] * b[0]]
+
+        c = [[dec(float(x)) for x in row] for row in rr.result.barycenter]
+        s = (1 - sum(x * x for row in c for x in row)).sqrt()
+        r_sum, second = [dec(0)] * (4 * len(c)), dec(0)
+        for z, w in zip(ss.samples.points, ss.samples.weights):
+            z = [[dec(float(x)) for x in row] for row in z]
+            w = dec(float(w))
+            ip = [sum(col, dec(0)) for col in
+                  zip(*(mul([cj[0], -cj[1], -cj[2], -cj[3]], zj) for cj, zj in zip(c, z)))]
+            den2 = (1 - ip[0]) ** 2 + ip[1] ** 2 + ip[2] ** 2 + ip[3] ** 2
+            dinv = [(1 - ip[0]) / den2, ip[1] / den2, ip[2] / den2, ip[3] / den2]
+            phi = [x for cj, zj in zip(c, z) for x in
+                   mul([a - b / (1 + s) - s * e for a, b, e in zip(cj, mul(cj, ip), zj)], dinv)]
+            r_sum = [r + w * x for r, x in zip(r_sum, phi)]
+            second += w * w * sum(x * x for x in phi)
+        var = second - sum(x * x for x in r_sum) / ss.count_requested
+        return float(var.sqrt() / dec(ss.total_mass_estimate))
+
+
+def test_barycenter_standard_error_against_decimal_reference():
+    # two converged samples, where |R|^2/count is negligible, and one that
+    # stopped at max_iters, where it is not (the former recipe read up to
+    # 3.8e-16 on such samples)
+    for spec, count, config in (
+            (regions.geodesic_ball(_CENTERS[1], 1.5), 4000, None),
+            (regions.euclidean_ball(_CENTERS[2], 0.3), 4000, None),
+            (regions.geodesic_ball(_CENTERS[2], 1.5), 100_000, bc.SolverConfig(max_iters=1))):
+        rr = regions.region_barycenter(spec, count, 3, config)
+        ref = _decimal_se(rr)
+        assert abs(rr.barycenter_standard_error - ref) <= 1e-15 * ref
+
+
+def test_region_barycenter_maps_no_point(monkeypatch):
+    # the standard error reads d(c, q_i), not the images Phi_c(q_i)
+    def refuse(*args):
+        raise AssertionError("region_barycenter formed Phi_c")
+
+    monkeypatch.setattr(mobius, "hua_apply", refuse)
+    monkeypatch.setattr(mobius, "hua_new", refuse)
+    rr = regions.region_barycenter(regions.geodesic_ball(E1, 1.0), 100_000, seed=2)
+    assert rr.result.converged and rr.barycenter_standard_error > 0.0
+
+
+def test_barycenter_standard_error_is_independent_of_blas_threads():
+    # the sum of w_i^2 tanh^2(d/2) over a region's ~3e5 points is numpy's
+    # pairwise sum, not a BLAS dot, which sums long arrays in per-thread pieces
+    script = (
+        "from qhb import regions\n"
+        "for spec in (regions.euclidean_ball([[0.3, 0.1, 0, 0]], 0.4),\n"
+        "             regions.geodesic_ball([[0.3, 0.1, 0, 0]], 1.5)):\n"
+        "    rr = regions.region_barycenter(spec, 1 << 20, 3)\n"
+        "    print(rr.sample_set.count_accepted, rr.barycenter_standard_error.hex())\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(regions.__file__)))
+    outs = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        outs.add(subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                capture_output=True, text=True).stdout)
+    assert len(outs) == 1
 
 
 def moment_by_quadrature(radius: float, n: int) -> float:
