@@ -9,12 +9,14 @@ Each command runs as `python -m qhb.cli ...` with PYTHONPATH=SRC_DIR, in
 scripts/fixtures/, on the point set and region files kept there (seven
 of them malformed on purpose: a null, a boolean and a string weight, a
 weight of 401 digits, an object for the points, points nested 5000 deep
-and a null radius), three two-point sets whose total weight lies outside
-the range the solver takes (weights 1e308, 1e300 and 1e-320) and one
-region too small to weigh (a geodesic ball of radius 1e-150, whose
-proposal box has volume 0).  The output names
-every command, then its stdout, the first line of its stderr and its
-exit code, and holds no path,
+and a null radius), three two-point sets whose weights lie far from 1
+(1e308, 1e300 and 1e-320: the total overflows, the sum of squares would,
+and the weights are subnormal), which solve like unit weights, one region
+too small to weigh (a geodesic ball of radius 1e-150, whose proposal box
+has volume 0) and one whose sample weighs about 1e-166 in all (a
+Euclidean ball of radius 1e-14 at n = 3).  The output names every
+command, then its stdout, the first line of its stderr and its exit
+code, and holds no path,
 so the CLI output of two source trees (say, a checkout of the parent
 commit and the working tree) is compared with one diff:
 
@@ -63,8 +65,11 @@ COMMANDS = (
         ["barycenter", "weights_1e308.json"],
         ["barycenter", "weights_1e300.json"],
         ["barycenter", "weights_1e-320.json"],
+        ["energy", "weights_1e308.json", "--at", "0.9"],
         ["region-barycenter", "null_radius.json", "--samples", "1000"],
         ["region-barycenter", "tiny_geodesic_ball.json", "--samples", "1000", "--seed", "3"],
+        ["region-barycenter", "euclidean_ball_tiny_n3.json", "--samples", "262144",
+         "--seed", "3"],
         ["barycenter", "two_points.json", "--tol", "nan"],
         ["region-barycenter", "geodesic_ball_n2.json", "--samples", "1000",
          "--seed", "18446744073709551616"],

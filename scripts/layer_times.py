@@ -9,6 +9,9 @@ the working tree's src) is imported in a child process, so two trees are
 compared by running the script once for each, alternating.  Timed, each
 as the median over R rounds of the best of K calls:
 
+* `WeightedPoints n=.. N=..`: building a `barycenter.WeightedPoints` (the
+  checks, the copies and the working weights) for n in {1, 4} and N in
+  {1e3, 1e5};
 * `sweep n=.. N=..`: one `barycenter._sweep` (R, G and the Gram matrix of
   a weighted set at a point) for n in {1, 2, 4} and N in {1e3, 1e4, 1e5};
 * `solve n=.. N=..`: the full default `solve` of such a set, with its
@@ -89,6 +92,11 @@ def sweeps(fn):
 
 
 out = {}
+for n in (1, 4):
+    for size in (1000, 100000):
+        data = random_weighted_points(np.random.default_rng(1000 * n + size), n, size)
+        out[f"WeightedPoints n={n} N={size} ms"] = timed(
+            lambda: bc.WeightedPoints(points=data.points, weights=data.weights))
 for n in (1, 2, 4):
     for size in (1000, 10000, 100000):
         data = random_weighted_points(np.random.default_rng(1000 * n + size), n, size)

@@ -59,26 +59,25 @@ _EPS = float(np.finfo(float).eps)
 # tested as |q|^2 < MAX_NORM2; closer points make the energy ill-conditioned
 BOUNDARY_MARGIN = 1e-12
 MAX_NORM2 = (1.0 - BOUNDARY_MARGIN) ** 2
-# the range of a point set's total weight (WeightedPoints)
-W_MIN, W_MAX = 2.0 ** -459, 2.0 ** 511
 
 
 @dataclass(frozen=True, eq=False)
 class WeightedPoints:
-    """Finite weighted point set in the open unit ball of H^n, of total
-    weight W in [W_MIN, W_MAX] = [2^-459, 2^511] (about 6.7e-139 to 6.7e153).
-
-    The solver takes |R| as the root of the sum of the squares of R's
-    components, and |R| <= W: W^2 < 2^1022 keeps that sum finite, and every
-    other sum of a sweep is below ~100 W.  R rounds at about eps W, and
-    eps W >= 2^-511 keeps the square of every component above that rounding
-    a normal float: below it, |R| loses digits or reads 0, and solve would
-    report "converged" at a wrong point.  The barycenter does not change
-    when every weight is scaled by one factor, so a set outside the range
-    is refused, to be rescaled."""
+    """Finite weighted point set in the open unit ball of H^n, weights
+    positive and finite.  The solver works on _w = w 2^-e, e the frexp
+    exponent of the largest weight rounded up to an even integer, so that
+    sqrt(2^-e), by which the sweep scales the images, is a power of two too:
+    the largest working weight is in [1/4, 1), no sum overflows, squares of
+    R stay normal, and weights scaled by 2^(2j) give the same iterates.
+    total_weight, energy, residual and solve's results are scaled back by 2^e
+    (inf where the true value overflows); a weight below about 2^-1074 of the
+    largest counts as 0."""
 
     points: np.ndarray   # (N, n, 4)
     weights: np.ndarray  # (N,), all > 0
+    _w: np.ndarray = field(init=False, repr=False)    # weights * 2^-_scale
+    _scale: int = field(init=False, repr=False)
+    _total: float = field(init=False, repr=False)     # sum of _w
     _log_const: float = field(init=False, repr=False)
     total_weight: float = field(init=False, repr=False)
 
@@ -103,20 +102,23 @@ class WeightedPoints:
             raise NotInBall(f"point {i}: |q| = {math.sqrt(nm2[i]):.17g} is not inside "
                             f"|q| < 1 - {BOUNDARY_MARGIN:g}")
         pts, wts = pts.copy(), wts.copy()
-        with np.errstate(over="ignore"):
-            total = float(np.sum(wts))
-        if not W_MIN <= total <= W_MAX:
-            raise QhbError(f"total weight {total:.3g} is outside [{W_MIN:.3g}, {W_MAX:.3g}]; "
-                           "the barycenter does not change when every weight is scaled "
-                           "by one factor, so rescale the weights")
-        object.__setattr__(self, "total_weight", total)
-        pts.flags.writeable = False
-        wts.flags.writeable = False
+        e = (math.frexp(wts.max())[1] + 1) & ~1  # rounded up to even
+        w = np.ldexp(wts, -e)
+        for a in (pts, wts, w):
+            a.flags.writeable = False
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", wts)
+        object.__setattr__(self, "_w", w)
+        object.__setattr__(self, "_scale", e)
+        object.__setattr__(self, "_total", float(np.sum(w)))
+        object.__setattr__(self, "total_weight", float(self._unscale(self._total)))
         # sum_i w_i log(1 - |q_i|^2), the x-independent part of the energy,
         # from the |q_i|^2 of the boundary test; G(0) = -_log_const
-        object.__setattr__(self, "_log_const", float(np.sum(wts * np.log1p(-nm2))))
+        object.__setattr__(self, "_log_const", float(np.sum(w * np.log1p(-nm2))))
+
+    def _unscale(self, x):  # from the units of _w to the caller's
+        with np.errstate(over="ignore"):
+            return np.ldexp(x, self._scale)
 
     @property
     def size(self) -> int:
@@ -173,13 +175,13 @@ class SolverResult:
 def energy(data: WeightedPoints, x) -> float:
     """G(x) = sum_i w_i log cosh^2(d(x, q_i)/2) >= 0, as the solver's
     sweep evaluates it."""
-    return _sweep(data, mobius.ball_points(q.hvector(x), data.n))[2]
+    return float(data._unscale(_sweep(data, mobius.ball_points(q.hvector(x), data.n))[2]))
 
 
 def residual(data: WeightedPoints, c) -> np.ndarray:
     """R(c) = sum_i w_i Phi_c(q_i), a vector in H^n; zero exactly at the
     barycenter.  The solver's sweep evaluates it."""
-    return _sweep(data, mobius.ball_points(q.hvector(c), data.n))[0]
+    return data._unscale(_sweep(data, mobius.ball_points(q.hvector(c), data.n))[0])
 
 
 # -- the fused sweep ---------------------------------------------------------
@@ -203,13 +205,13 @@ def _sweep(data: WeightedPoints, c: np.ndarray):
     gram = np.zeros((4 * n, 4 * n))
     w_log = 0.0
     for rows, o, den2 in mobius._hua_blocks(c, data.points.reshape(data.size, -1)):
-        w = data.weights[rows]
+        w = data._w[rows]
         r_vec += np.einsum("ji,i->j", o, w)
         w_log += float(np.einsum("i,i->", w, np.log(den2)))
         o *= np.sqrt(w)
         gram += o @ o.T
     r_vec = r_vec.reshape(n, 4)
-    w_norm = data.total_weight * math.log1p(-float(q.vnorm2(c)))
+    w_norm = data._total * math.log1p(-float(q.vnorm2(c)))
     e = w_log - w_norm - data._log_const
     e_scale = abs(w_log) + abs(w_norm) + abs(data._log_const)
     return r_vec, float(q.vnorm(r_vec)), e, gram, e_scale
@@ -260,7 +262,6 @@ def solve(data: WeightedPoints, config: SolverConfig | None = None,
     out and "stalled" when the line search found no acceptable step.
     """
     cfg = config or SolverConfig()
-    total = data.total_weight
     c = np.zeros((data.n, 4)) if start is None else mobius.ball_points(q.hvector(start), data.n).copy()
 
     r_vec, rn, g_c, gram, e_scale = _sweep(data, c)
@@ -268,13 +269,13 @@ def solve(data: WeightedPoints, config: SolverConfig | None = None,
     trace = [e_c]
     iterations = 0
     while True:
-        if rn <= cfg.tol * total:
+        if rn <= cfg.tol * data._total:
             stop_reason = "converged"
             break
         if iterations >= cfg.max_iters:
             stop_reason = "max_iters"
             break
-        x = _newton_point(r_vec, gram, total)
+        x = _newton_point(r_vec, gram, data._total)
         # energy decreases smaller than the rounding of the terms that
         # make up G are invisible in float64, so steps in that regime are
         # judged on the residual instead
@@ -299,9 +300,9 @@ def solve(data: WeightedPoints, config: SolverConfig | None = None,
 
     return SolverResult(
         barycenter=np.asarray(c, dtype=float),
-        residual_norm=rn,
-        energy=g_c,
+        residual_norm=float(data._unscale(rn)),
+        energy=float(data._unscale(g_c)),
         iterations=iterations,
         stop_reason=stop_reason,
-        energy_trace=tuple(trace),
+        energy_trace=tuple(data._unscale(trace).tolist()),
     )

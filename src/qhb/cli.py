@@ -233,7 +233,10 @@ def cmd_distance(args) -> int:
 def cmd_energy(args) -> int:
     data = load_point_set(args.input)
     x = parse_point(args.at, n=data.n)
-    print(f"{barycenter.energy(data, x):.17g}")
+    g = barycenter.energy(data, x)
+    if not math.isfinite(g):
+        raise QhbError(f"the energy at {args.at} exceeds the float range; scale the weights down")
+    print(f"{g:.17g}")
     return 0
 
 

@@ -307,26 +307,25 @@ def sample_region(spec: RegionSpec, count: int, seed: int) -> SampleSet:
     if not (weights > 0.0).all():
         raise EmptyRegion(f"region too small to weigh: its proposal box has volume "
                           f"{box_volume:.3g}, and the weights of its points round to 0")
-    mass = float(np.sum(vals)) / count
-    dist0 = 2.0 * np.arctanh(q.vnorm(accepted))
-    mom_vals = vals * dist0
-    moment = float(np.sum(mom_vals)) / count
-
-    samples = WeightedPoints(points=accepted, weights=weights)
+    mass, mass_se = _mc_mean(vals, count)
+    moment, moment_se = _mc_mean(vals * (2.0 * np.arctanh(q.vnorm(accepted))), count)
     return SampleSet(
-        samples=samples, seed=seed, count_requested=count,
-        count_accepted=accepted.shape[0], total_mass_estimate=mass,
-        moment_estimate=moment, standard_error=_mc_se(vals, count),
-        moment_standard_error=_mc_se(mom_vals, count),
+        samples=WeightedPoints(points=accepted, weights=weights), seed=seed,
+        count_requested=count, count_accepted=accepted.shape[0],
+        total_mass_estimate=mass, moment_estimate=moment,
+        standard_error=mass_se, moment_standard_error=moment_se,
     )
 
 
-def _mc_se(nonzero_vals: np.ndarray, count: int) -> float:
-    """Standard error of a mean over `count` proposals whose only nonzero
-    values are the scalars `nonzero_vals` (rejected proposals give 0)."""
-    mean = np.sum(nonzero_vals) / count
-    second = np.sum(nonzero_vals * nonzero_vals) / count
-    return float(np.sqrt(np.maximum(second - mean * mean, 0.0) / count))
+def _mc_mean(nonzero_vals: np.ndarray, count: int) -> tuple:
+    """Mean and its standard error over `count` proposals whose only nonzero
+    values are the scalars `nonzero_vals` (rejected proposals give 0),
+    summed at a power-of-two scale at which their squares stay normal."""
+    e = int(np.frexp(np.max(nonzero_vals))[1])
+    vals = np.ldexp(nonzero_vals, -e)
+    mean = np.sum(vals) / count
+    se = np.sqrt(np.maximum(np.sum(vals * vals) / count - mean * mean, 0.0) / count)
+    return math.ldexp(float(mean), e), math.ldexp(float(se), e)
 
 
 @dataclass(frozen=True, eq=False)
@@ -343,10 +342,12 @@ def region_barycenter(spec: RegionSpec, count: int, seed: int,
     The standard error is SE(R)/mass.  R's terms over the count proposals
     are count w_i Phi_c(q_i), or 0 where rejected, so the summed variance of
     its 4n components is sum_i w_i^2 |Phi_c(q_i)|^2 - |R|^2 / count, with
-    |Phi_c(q)| = tanh(d(c, q)/2) and |R| the solver's: no point is mapped."""
+    |Phi_c(q)| = tanh(d(c, q)/2) and |R| the solver's: no point is mapped.
+    Sums are pairwise (not BLAS), on the working weights: no square underflows.
+    With one accepted point (count_accepted) the SE is rounding noise, ~1e-17."""
     ss = sample_region(spec, count, seed)
     res = solve(ss.samples, config)
-    wt = ss.samples.weights * np.tanh(geometry.distance(ss.samples.points, res.barycenter) / 2.0)
-    var = float(np.sum(wt * wt)) - res.residual_norm ** 2 / count  # pairwise, not BLAS
-    bary_se = math.sqrt(max(var, 0.0)) / ss.total_mass_estimate
+    wt = ss.samples._w * np.tanh(geometry.distance(ss.samples.points, res.barycenter) / 2.0)
+    var = float(np.sum(wt * wt)) - math.ldexp(res.residual_norm, -ss.samples._scale) ** 2 / count
+    bary_se = math.ldexp(math.sqrt(max(var, 0.0)), ss.samples._scale) / ss.total_mass_estimate
     return RegionResult(result=res, sample_set=ss, barycenter_standard_error=bary_se)

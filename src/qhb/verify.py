@@ -353,8 +353,8 @@ def _energy_batch(data: barycenter.WeightedPoints, xs) -> np.ndarray:
     is an einsum, so the energy does not depend on the BLAS thread count."""
     xs = mobius.ball_points(xs, data.n)
     num2 = q.qnorm2(q.ONE - q.inner(xs[..., None, :, :], data.points))
-    w_log = np.einsum("...i,i->...", np.log(num2), data.weights)
-    return w_log - data.total_weight * np.log1p(-q.vnorm2(xs)) - data._log_const
+    w_log = np.einsum("...i,i->...", np.log(num2), data._w)
+    return data._unscale(w_log - data._total * np.log1p(-q.vnorm2(xs)) - data._log_const)
 
 
 def gradient_check(data: barycenter.WeightedPoints, c) -> float:

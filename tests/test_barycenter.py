@@ -1,3 +1,4 @@
+import copy
 import math
 import os
 import subprocess
@@ -5,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qhb import barycenter as bc
 from qhb import geometry, mobius, verify
@@ -63,23 +65,30 @@ def test_weighted_points_reject_non_finite(coord, weight):
 
 @pytest.mark.parametrize("weight", [1e308, 1e300, 1e-320, np.nextafter(2.0 ** 510, math.inf),
                                     np.nextafter(2.0 ** -460, 0.0)],
-                         ids=["sum-overflows", "square-overflows", "subnormal", "above-W_MAX",
-                              "below-W_MIN"])
-def test_weighted_points_refuse_a_total_weight_out_of_range(weight):
-    # at these totals solve claimed "converged" at the origin (1e308: |R| = inf,
-    # G = NaN; 1e-320: |R| = 0) or "stalled" at |R| = inf (1e300)
-    with pytest.raises(QhbError, match=r"^total weight .* is outside .*rescale the weights$"):
-        bc.WeightedPoints(points=pts1(0.5, 0.3), weights=np.full(2, weight))
+                         ids=["sum-overflows", "square-overflows", "subnormal", "above-2^511",
+                              "below-2^-459"])
+def test_total_weights_far_from_one_solve_like_unit_weights(weight):
+    # the solver works on the weights scaled by a power of two, so a total
+    # that overflows (1e308), a sum of squares that would (1e300) and
+    # subnormal weights (1e-320) solve like unit weights; the total weight
+    # reads inf where it overflows
+    points = pts1(0.5, 0.3)
+    unit = bc.solve(bc.WeightedPoints(points=points, weights=np.ones(2)))
+    data = bc.WeightedPoints(points=points, weights=np.full(2, weight))
+    assert data.total_weight == 2.0 * weight or (weight == 1e308 and data.total_weight == math.inf)
+    res = bc.solve(data)
+    assert res.converged and math.isfinite(res.energy)
+    assert float(geometry.distance(res.barycenter, unit.barycenter)) <= 1e-12
 
 
 def test_total_weights_at_the_range_ends_solve_like_unit_weights():
-    # the set of the refused cases above, at W = W_MIN and W = W_MAX, and
-    # seeded sets scaled to the ends of the range: the barycenter does not
-    # move with the scale
+    # the ends of the total-weight range [2^-459, 2^511] that WeightedPoints
+    # once refused sets outside of, and totals far beyond them: the
+    # barycenter does not move with the scale
     points = np.array([[[0.5, 0.0, 0.0, 0.0]], [[0.3, 0.2, 0.0, 0.0]]])
     unit = bc.solve(bc.WeightedPoints(points=points, weights=np.ones(2)))
     assert np.allclose(unit.barycenter[0], [0.398, 0.090, 0.0, 0.0], atol=1e-3)
-    for total in (bc.W_MIN, bc.W_MAX):
+    for total in (2.0 ** -459, 2.0 ** 511):
         data = bc.WeightedPoints(points=points, weights=np.full(2, total / 2.0))
         assert data.total_weight == total
         res = bc.solve(data)
@@ -88,10 +97,55 @@ def test_total_weights_at_the_range_ends_solve_like_unit_weights():
         data = random_weighted_points(np.random.default_rng(seed), 1 + seed % 3, 2 + 5 * seed)
         base = bc.solve(data)
         e = math.frexp(data.total_weight)[1]
-        for k in (-458 - e, 511 - e):   # totals in [2^-459, 2^-458) and [2^510, 2^511)
+        for k in (-458 - e, 511 - e, -1000 - e, 1000 - e):
             res = bc.solve(bc.WeightedPoints(points=data.points, weights=data.weights * 2.0 ** k))
             assert res.converged, (seed, k)
             assert float(geometry.distance(res.barycenter, base.barycenter)) <= 1e-12
+
+
+_POSITIVE_WEIGHTS = st.lists(st.floats(min_value=5e-324, max_value=1e308), min_size=1,
+                             max_size=6)
+
+
+@settings(max_examples=100, derandomize=True)
+@given(weights=_POSITIVE_WEIGHTS, n=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_any_positive_finite_weights_solve(weights, n, seed):
+    # subnormal to 1e308, over any number of decades: a finite barycenter
+    # inside the ball, and no error
+    pts = random_ball_points(np.random.default_rng(seed), n, len(weights), 0.95)
+    res = bc.solve(bc.WeightedPoints(points=pts, weights=np.array(weights)))
+    assert res.barycenter.shape == (n, 4) and np.all(np.isfinite(res.barycenter))
+    assert float(q.vnorm2(res.barycenter)) < 1.0
+
+
+@settings(max_examples=100, derandomize=True)
+@given(weights=_POSITIVE_WEIGHTS, bad=st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0,
+                                                       -1.0, -5e-324, -1e308]),
+       data=st.data())
+def test_a_bad_weight_is_named(weights, bad, data):
+    i = data.draw(st.integers(0, len(weights)))
+    weights = np.insert(np.array(weights), i, bad)
+    pts = random_ball_points(np.random.default_rng(i), 2, len(weights), 0.9)
+    with pytest.raises(QhbError, match=rf"^point {i}: ") as info:
+        bc.WeightedPoints(points=pts, weights=weights)
+    assert isinstance(info.value, NonFinite) == (not math.isfinite(bad))
+
+
+@settings(max_examples=100, derandomize=True)
+@given(decades=st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=40), n=st.integers(1, 4),
+       j=st.integers(-250, 250), seed=st.integers(0, 2 ** 32 - 1))
+def test_weights_scaled_by_an_even_power_of_two_solve_bit_for_bit(decades, n, j, seed):
+    # w and w 2^(2j) have the same working copy, so the iterates are the
+    # same and G, R and the trace scale by exactly 2^(2j)
+    pts = random_ball_points(np.random.default_rng(seed), n, len(decades), 0.95)
+    wts = 10.0 ** np.array(decades)
+    base = bc.solve(bc.WeightedPoints(points=pts, weights=wts))
+    res = bc.solve(bc.WeightedPoints(points=pts, weights=np.ldexp(wts, 2 * j)))
+    assert res.barycenter.tobytes() == base.barycenter.tobytes()
+    assert (res.iterations, res.stop_reason) == (base.iterations, base.stop_reason)
+    assert res.energy == math.ldexp(base.energy, 2 * j)
+    assert res.residual_norm == math.ldexp(base.residual_norm, 2 * j)
+    assert res.energy_trace == tuple(math.ldexp(g, 2 * j) for g in base.energy_trace)
 
 
 def test_weighted_points_leaves_shapes_to_weighted_points_class():
@@ -251,12 +305,13 @@ def test_symmetric_four_point(rng):
 def test_log_const_is_the_sum_of_the_constructor_norms(rng):
     # WeightedPoints takes sum w log(1 - |q|^2) from its boundary test's
     # |q|^2, with the bits of a second pass over the stored points; it is
-    # -G(0), the energy a default solve records first
+    # -G(0), the energy a default solve records first; it is kept in the
+    # units of the working weights w 2^-e and compared after ldexp
     for n in (1, 2, 4):
         for size in (1, 7, 2 * (mobius._BLOCK // n) + 3):
             data = random_weighted_points(rng, n, size)
             ref = float(np.sum(data.weights * np.log1p(-q.vnorm2(data.points))))
-            assert data._log_const.hex() == ref.hex()
+            assert math.ldexp(data._log_const, data._scale).hex() == ref.hex()
             assert bc.solve(data).energy_trace[0] == -ref
 
 
@@ -399,7 +454,8 @@ def test_sweep_matches_independent_code(rng):
             if size == big:  # total weight O(1), so the absolute bounds below hold
                 data = bc.WeightedPoints(points=data.points, weights=data.weights / size)
             c = random_ball_point(rng, n, rmax=0.6)
-            r_vec, rn, e, gram, scale = bc._sweep(data, c)
+            # the sweep runs on the working weights w 2^-e: scale back by 2^e
+            r_vec, rn, e, gram, scale = (np.ldexp(v, data._scale) for v in bc._sweep(data, c))
             hua = mobius.hua_matrix_array(c)
             mapped = mobius.projective_apply(hua, data.points)
             ref_r = np.einsum("i,ijk->jk", data.weights, mapped)
@@ -419,6 +475,26 @@ def test_sweep_matches_independent_code(rng):
             step = bc._hua_rows(c, x.reshape(1, -1))[0].reshape(n, 4)
             assert np.max(np.abs(step - mobius.projective_apply(hua, x))) <= 1e-13
 
+
+
+def test_sweep_on_the_working_weights_is_the_sweep_scaled_exactly(rng):
+    # e is even, so sqrt(w 2^-e) = sqrt(w) 2^(-e/2) exactly: every output of
+    # the sweep on the working weights is that of a sweep on the caller's
+    # weights times 2^-e, bit for bit (an odd e moves the Gram matrix).
+    # The largest weights below have frexp exponents 1, 3, -7 and 18.
+    for n in (1, 2, 4):
+        for factor in (1.0, 3.0, 3e-3, 1e5):
+            base = random_weighted_points(rng, n, 50)
+            data = bc.WeightedPoints(points=base.points,
+                                     weights=base.weights * (factor / base.weights.max() * 1.5))
+            plain = copy.copy(data)
+            for name, value in (("_w", data.weights), ("_scale", 0),
+                                ("_total", data.total_weight),
+                                ("_log_const", math.ldexp(data._log_const, data._scale))):
+                object.__setattr__(plain, name, value)
+            c = random_ball_point(rng, n, rmax=0.6)
+            for got, want in zip(bc._sweep(data, c), bc._sweep(plain, c)):
+                assert np.ldexp(got, data._scale).tobytes() == np.asarray(want).tobytes()
 
 
 def test_energy_and_residual_equal_what_solve_reports(rng):
@@ -505,7 +581,8 @@ def test_chart_hessian_matches_finite_difference(rng):
         data = bc.WeightedPoints(points=random_ball_points(rng, n, 6, rmax=0.95),
                                  weights=10.0 ** rng.uniform(-3.0, 3.0, 6))
         c = random_ball_point(rng, n, rmax=0.6)
-        hess = bc._chart_hessian(bc._sweep(data, c)[3], data.total_weight)
+        # in the units of the working weights w 2^-e, scaled back by 2^e
+        hess = np.ldexp(bc._chart_hessian(bc._sweep(data, c)[3], data._total), data._scale)
         # second derivatives of G_c at 0 along e_a + e_b and e_a - e_b give
         # H_ab by polarization; five-point stencil along each direction
         eye = np.eye(4 * n)

@@ -272,17 +272,29 @@ def test_exit_code_two_when_not_converged(capsys, two_weighted_file):
     assert json.loads(out)["converged"] is False
 
 
-@pytest.mark.parametrize("weight", ["1e308", "1e300", "1e-320"])
-def test_total_weight_out_of_range_exits_one(capsys, tmp_path, weight):
-    # solve claimed "converged" at the origin for 1e308 (printing the
-    # non-JSON Infinity and NaN, exit code 0) and 1e-320, and "stalled"
-    # with |R| = inf for 1e300
+def _two_point_file(tmp_path, weight):
     path = tmp_path / "w.json"
     path.write_text('{"dimension": 1, "points": [{"coords": [[0.5, 0, 0, 0]], "weight": %s}, '
                     '{"coords": [[0.3, 0.2, 0, 0]], "weight": %s}]}' % (weight, weight))
-    code, out, err = run(capsys, "barycenter", str(path))
+    return str(path)
+
+
+@pytest.mark.parametrize("weight", ["1e308", "1e300", "1e-320"])
+def test_weights_far_from_one_solve_like_unit_weights(capsys, tmp_path, weight):
+    # the solver works on the weights scaled by a power of two, so these
+    # give the unit-weight answer
+    code, out, err = run(capsys, "barycenter", _two_point_file(tmp_path, weight))
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["converged"] is True
+    assert np.allclose(payload["barycenter"], [[0.3979, 0.0904, 0.0, 0.0]], atol=1e-4)
+
+
+def test_energy_beyond_the_float_range_exits_one(capsys, tmp_path):
+    # G at 0.9 of two points of weight 1e308 exceeds the largest float
+    code, out, err = run(capsys, "energy", _two_point_file(tmp_path, "1e308"), "--at", "0.9")
     assert code == 1 and out == ""
-    assert err.startswith("error: QhbError: total weight ") and "rescale the weights" in err
+    assert err.startswith("error: QhbError: the energy at 0.9 exceeds the float range")
 
 
 def test_output_is_strict_json(capsys, monkeypatch, two_weighted_file):

@@ -249,8 +249,8 @@ def _sample_every_draw(spec, count, seed):
     mom_vals = vals * (2.0 * np.arctanh(q.vnorm(pts)))
     samples = bc.WeightedPoints(points=pts, weights=vals / count)
     return (samples.points, samples.weights, float(np.sum(vals)) / count,
-            float(np.sum(mom_vals)) / count, regions._mc_se(vals, count),
-            regions._mc_se(mom_vals, count), pts.shape[0])
+            float(np.sum(mom_vals)) / count, regions._mc_mean(vals, count)[1],
+            regions._mc_mean(mom_vals, count)[1], pts.shape[0])
 
 
 def _edge_specs():
@@ -299,7 +299,7 @@ def test_cull_keeps_the_sample_of_every_draw(spec):
     assert len(got) == len(want)
     assert all(map(np.array_equal, got, want))
     # the kept rows themselves, also where their weights are then refused
-    # (a total weight outside WeightedPoints' range, or weights that round to 0)
+    # (weights that round to 0)
     jobs = [(0, regions.CHUNK), (1, 50)]
     kept = regions._sample_chunks(spec, 4, jobs, regions._proposal_ball(spec))
     assert np.array_equal(np.concatenate(kept), _kept_every_draw(spec, count, 4))
@@ -318,6 +318,41 @@ def test_region_whose_weights_underflow_is_empty(spec, volume):
         regions.sample_region(spec, regions.CHUNK + 50, 4)
     assert str(info.value) == (f"region too small to weigh: its proposal box has volume "
                                f"{volume}, and the weights of its points round to 0")
+
+
+def test_mc_mean_is_scale_free():
+    # the values are scaled by a power of two before they are summed and
+    # squared, so the mean and SE are the plain recipe's, and scale exactly
+    # with the values
+    vals = np.random.default_rng(5).uniform(0.5, 2.0, 100)
+    mean, second = np.sum(vals) / 1000, np.sum(vals * vals) / 1000
+    plain = (float(mean), float(np.sqrt(np.maximum(second - mean * mean, 0.0) / 1000)))
+    assert regions._mc_mean(vals, 1000) == plain
+    for k in (-1000, -500, 500, 1000):
+        assert regions._mc_mean(np.ldexp(vals, k), 1000) == tuple(math.ldexp(v, k) for v in plain)
+
+
+def test_tiny_euclidean_balls_have_scale_free_error_bars():
+    # at n = 3 the squares of the per-proposal values underflowed from
+    # radius 1e-14 down and the SEs read 0; at a power-of-two scale every
+    # radius gives the same SE per unit mass
+    ratios = []
+    for r in (1e-3, 1e-6, 1e-12, 1e-14, 1e-16, 1e-20, 1e-24):
+        rr = regions.region_barycenter(regions.euclidean_ball(np.zeros((3, 4)), r), 1 << 18, 3)
+        ss = rr.sample_set
+        assert rr.result.converged, r
+        assert rr.barycenter_standard_error > 0.0 and ss.moment_standard_error > 0.0
+        ratios.append(ss.standard_error / ss.total_mass_estimate)
+    assert ratios == pytest.approx([0.102579243] * len(ratios), rel=1e-6)
+
+
+def test_tiny_euclidean_ball_off_the_origin_solves():
+    # its sample weighs 1.4e-140 in all, a total WeightedPoints once refused
+    spec = regions.euclidean_ball([[0.3, 0, 0, 0], [0, 0, 0, 0], [0, 0.1, 0, 0]], 1e-12)
+    rr = regions.region_barycenter(spec, 1 << 18, 3)
+    assert rr.result.converged
+    assert float(q.vnorm(rr.result.barycenter - spec.center)) < 1e-12
+    assert rr.barycenter_standard_error > 0.0
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
