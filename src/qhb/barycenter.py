@@ -256,9 +256,10 @@ def solve(data: WeightedPoints, config: SolverConfig | None = None,
     independent of the start up to the tolerance.  At the origin
     Phi_0(q) = -q, so the first sweep needs no map of the points and the
     first step is a Newton step on the points as given.  Convergence is
-    declared on the residual norm
-    |R(c)| <= tol * total_weight.  Otherwise the best iterate is still
-    returned, with stop_reason "max_iters" when the iteration budget ran
+    declared on |R(c)| <= tol * total_weight, a bound in ball units: a set
+    narrower than ~tol (a region of radius below ~1e-12) can converge at a
+    point that its own scale does not resolve.  Otherwise the best iterate
+    is returned, with stop_reason "max_iters" when the iteration budget ran
     out and "stalled" when the line search found no acceptable step.
     """
     cfg = config or SolverConfig()

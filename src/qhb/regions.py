@@ -126,6 +126,9 @@ def indicator_region(membership: Callable, n: int, box=None) -> RegionSpec:
         raise NonFinite("box bounds must be finite")
     if lo.shape != (4 * n,) or hi.shape != (4 * n,) or np.any(hi <= lo):
         raise QhbError("box must be a pair of (4n,) arrays with hi > lo")
+    with np.errstate(over="ignore"):  # hi - lo of finite bounds can overflow
+        if not np.all(np.isfinite(hi - lo)):
+            raise NonFinite(f"box side {int(np.argmax(~np.isfinite(hi - lo)))}: hi - lo overflows")
     return RegionSpec(kind=INDICATOR, n=n, membership=membership, box_lo=lo, box_hi=hi)
 
 
@@ -317,13 +320,14 @@ def sample_region(spec: RegionSpec, count: int, seed: int) -> SampleSet:
     )
 
 
-def _mc_mean(nonzero_vals: np.ndarray, count: int) -> tuple:
+def _mc_mean(nonzero_vals: np.ndarray, count: int, mean_norm: float | None = None) -> tuple:
     """Mean and its standard error over `count` proposals whose only nonzero
-    values are the scalars `nonzero_vals` (rejected proposals give 0),
-    summed at a power-of-two scale at which their squares stay normal."""
+    values are `nonzero_vals` (0 elsewhere), summed at a power-of-two scale
+    at which their squares stay normal.  Vector values pass their norms and
+    mean_norm, the norm of their mean: the SE is the summed variances' root."""
     e = int(np.frexp(np.max(nonzero_vals))[1])
     vals = np.ldexp(nonzero_vals, -e)
-    mean = np.sum(vals) / count
+    mean = np.sum(vals) / count if mean_norm is None else math.ldexp(mean_norm, -e)
     se = np.sqrt(np.maximum(np.sum(vals * vals) / count - mean * mean, 0.0) / count)
     return math.ldexp(float(mean), e), math.ldexp(float(se), e)
 
@@ -339,15 +343,13 @@ def region_barycenter(spec: RegionSpec, count: int, seed: int,
                       config: SolverConfig | None = None) -> RegionResult:
     """Sample the region and solve for the barycenter of the sampled measure.
 
-    The standard error is SE(R)/mass.  R's terms over the count proposals
-    are count w_i Phi_c(q_i), or 0 where rejected, so the summed variance of
-    its 4n components is sum_i w_i^2 |Phi_c(q_i)|^2 - |R|^2 / count, with
-    |Phi_c(q)| = tanh(d(c, q)/2) and |R| the solver's: no point is mapped.
-    Sums are pairwise (not BLAS), on the working weights: no square underflows.
-    With one accepted point (count_accepted) the SE is rounding noise, ~1e-17."""
+    The standard error is SE(R)/mass by _mc_mean, the estimator of the mass
+    and moment error bars: R's terms over the count proposals are count w_i
+    Phi_c(q_i) (0 where rejected), of norm count w_i tanh(d(c, q_i)/2), and
+    their mean R has the solver's |R|, so no point is mapped.  With one
+    accepted point (count_accepted) the SE is rounding noise, ~1e-17."""
     ss = sample_region(spec, count, seed)
     res = solve(ss.samples, config)
-    wt = ss.samples._w * np.tanh(geometry.distance(ss.samples.points, res.barycenter) / 2.0)
-    var = float(np.sum(wt * wt)) - math.ldexp(res.residual_norm, -ss.samples._scale) ** 2 / count
-    bary_se = math.ldexp(math.sqrt(max(var, 0.0)), ss.samples._scale) / ss.total_mass_estimate
-    return RegionResult(result=res, sample_set=ss, barycenter_standard_error=bary_se)
+    t = np.tanh(geometry.distance(ss.samples.points, res.barycenter) / 2.0)
+    se = _mc_mean(count * ss.samples.weights * t, count, res.residual_norm)[1]
+    return RegionResult(res, ss, se / ss.total_mass_estimate)

@@ -347,14 +347,15 @@ def check_convexity_positive(rng, trials: int):
 
 def _energy_batch(data: barycenter.WeightedPoints, xs) -> np.ndarray:
     """Energies at a batch of probe points xs (..., n, 4) from the Poisson
-    form G(x) = sum_i w_i log(|1 - <x,q_i>|^2 / ((1-|x|^2)(1-|q_i|^2))),
-    by quaternion products apart from the Hua kernel that barycenter.energy
-    runs: the checks' independent reference for G.  The weighted log sum
-    is an einsum, so the energy does not depend on the BLAS thread count."""
+    form G(x) = sum_i w_i log(|1 - <x,q_i>|^2 / ((1-|x|^2)(1-|q_i|^2))) on
+    the caller's weights, by quaternion products and its own constant term:
+    the checks' reference for G, independent of barycenter.energy's sweep.
+    The weighted log sum is an einsum, so no BLAS thread count enters it."""
     xs = mobius.ball_points(xs, data.n)
     num2 = q.qnorm2(q.ONE - q.inner(xs[..., None, :, :], data.points))
-    w_log = np.einsum("...i,i->...", np.log(num2), data._w)
-    return data._unscale(w_log - data._total * np.log1p(-q.vnorm2(xs)) - data._log_const)
+    w_log = np.einsum("...i,i->...", np.log(num2), data.weights)
+    log_const = float(np.sum(data.weights * np.log1p(-q.vnorm2(data.points))))
+    return w_log - data.total_weight * np.log1p(-q.vnorm2(xs)) - log_const
 
 
 def gradient_check(data: barycenter.WeightedPoints, c) -> float:

@@ -704,6 +704,22 @@ def test_pushforward_random(rng):
     assert pushforward_invariance(data, g) <= 1e-8
 
 
+def test_energy_reference_computes_its_own_constant(rng):
+    # verify._energy_batch sums on the caller's weights with its own
+    # sum_i w_i log(1 - |q_i|^2): it agrees with energy, and a corrupted
+    # working constant moves energy but not the reference
+    for n in (1, 2, 3):
+        data = bc.WeightedPoints(points=random_ball_points(rng, n, 7, rmax=0.9),
+                                 weights=rng.uniform(0.5, 2.0, 7))
+        xs = random_ball_points(rng, n, 5, rmax=0.7)
+        ref = verify._energy_batch(data, xs)
+        assert np.max(np.abs(ref - [bc.energy(data, x) for x in xs])) <= 1e-12
+        bad = copy.copy(data)
+        object.__setattr__(bad, "_log_const", data._log_const + 0.5)
+        assert np.array_equal(verify._energy_batch(bad, xs), ref)
+        assert np.min(np.abs(ref - [bc.energy(bad, x) for x in xs])) > 1e-12
+
+
 def test_energy_convex_along_geodesics(rng):
     ts = np.linspace(-2.0, 2.0, 21)
     for n in (1, 2):

@@ -398,17 +398,6 @@ def test_ball_volume_against_decimal_reference(n):
                 assert abs(decimal.Decimal(got) / ref - 1) <= decimal.Decimal("1e-12"), (n, rho)
 
 
-def test_ball_volume_keeps_its_bits_where_the_formula_is_exact():
-    # where (2n+1)!, sinh^(4n)(rho/2) and the volume are normal floats the
-    # volume is the formula as written, bit for bit
-    rho = np.geomspace(1e-3, 20.0, 200)
-    for n in (1, 2, 3, 8):
-        half = rho / 2.0
-        want = ((4.0 * math.pi) ** (2 * n) / math.factorial(2 * n + 1) * np.sinh(half) ** (4 * n)
-                * (1.0 + 2 * n * np.cosh(half) ** 2))
-        assert np.array_equal(geometry.ball_volume(rho, n), want)
-
-
 @pytest.mark.parametrize("n", [1, 2])
 def test_ball_volume_euclidean_limit(n):
     rho = 1e-3

@@ -3,9 +3,11 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from qhb import barycenter as bc
@@ -44,6 +46,78 @@ def test_factory_validation():
         column = regions.indicator_region(lambda p: np.ones((len(p), 1), bool), n)
         with pytest.raises(QhbError, match=r"returned shape \(\d+, 1\)"):
             regions.sample_region(column, 1000, seed=0)
+
+
+def test_indicator_box_whose_side_overflows_is_refused():
+    # lo and hi are finite but hi - lo is not: refused before the sampler
+    # scales a draw by the side (the subtraction overflowed there, and two
+    # RuntimeWarnings leaked before EmptyRegion)
+    c = np.full(8, 0.25)
+    for side in (0, 5):
+        lo, hi = c - 0.5, c + 0.5
+        lo[side], hi[side] = c[side] - 1.7e308, c[side] + 1.7e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFinite, match=rf"^box side {side}: hi - lo overflows$"):
+                regions.indicator_region(lambda p: np.ones(len(p), bool), 2, box=(lo, hi))
+    # a side just below the largest float is still a box
+    regions.indicator_region(lambda p: np.ones(len(p), bool), 1, box=(c[:4] - 8e307, c[:4] + 8e307))
+
+
+_UNIT = math.nextafter(1.0, 0.0)
+# |q| of centers and points: the boundary margin's sqrt(MAX_NORM2) and the
+# float below 1 included
+_NORMS = st.one_of(st.sampled_from([0.0, math.sqrt(bc.MAX_NORM2), _UNIT]), st.floats(0.0, _UNIT))
+_SIZES = st.floats(5e-324, 1.7e308)  # radii and box half-widths
+
+
+@st.composite
+def _api_cases(draw):
+    """(n, center, radius, box half-width, points, weights) of one call each
+    to the region factories, region_barycenter and solve."""
+    n = draw(st.integers(1, 3))
+
+    def point():
+        d = draw(st.lists(st.floats(-1.0, 1.0, allow_subnormal=False), min_size=4 * n,
+                          max_size=4 * n))
+        norm = math.hypot(*d)
+        unit = np.array(d) / norm if norm > 0.0 else np.eye(4 * n)[0]
+        return (draw(_NORMS) * unit).reshape(n, 4)
+
+    size = draw(st.integers(1, 4))
+    return (n, point(), draw(_SIZES), draw(_SIZES), np.array([point() for _ in range(size)]),
+            np.array(draw(st.lists(st.floats(5e-324, 1e308), min_size=size, max_size=size))))
+
+
+@settings(max_examples=100, derandomize=True)
+@given(case=_api_cases())
+@example(case=(1, np.zeros((1, 4)), 0.5, 1.7e308, np.zeros((1, 1, 4)), np.ones(1)))
+def test_api_raises_only_qhb_errors(case):
+    # any input either works or raises a QhbError, without a warning: the
+    # example's box passes the bounds check but its sides overflow
+    n, center, radius, half, points, weights = case
+    c = center.ravel()
+
+    def inside(pts):  # the Euclidean ball, by norms that cannot overflow
+        return q.vnorm(pts - center) < radius
+
+    calls = [
+        lambda: regions.geodesic_ball(center, radius),
+        lambda: regions.euclidean_ball(center, radius),
+        lambda: regions.indicator_region(inside, n),
+        lambda: regions.indicator_region(inside, n, box=(c - half, c + half)),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for make in calls:
+            try:
+                regions.region_barycenter(make(), 4096, 1)
+            except QhbError:
+                pass
+        try:
+            bc.solve(bc.WeightedPoints(points=points, weights=weights))
+        except QhbError:
+            pass
 
 
 @pytest.mark.parametrize("factory", [regions.geodesic_ball, regions.euclidean_ball])
@@ -330,6 +404,20 @@ def test_mc_mean_is_scale_free():
     assert regions._mc_mean(vals, 1000) == plain
     for k in (-1000, -500, 500, 1000):
         assert regions._mc_mean(np.ldexp(vals, k), 1000) == tuple(math.ldexp(v, k) for v in plain)
+    # vector values y_i, as region_barycenter passes count w_i Phi_c(q_i):
+    # their norms and their mean's norm give the per-component recipe of
+    # _old_se, with a mean near 0 and one far from it, and scale exactly
+    rng = np.random.default_rng(6)
+    for shift in (0.0, 1.0):
+        y = rng.uniform(-2.0, 2.0, (100, 2, 4)) + shift
+        mean, second = np.sum(y, axis=0) / 1000, np.sum(y * y, axis=0) / 1000
+        recipe = float(np.sqrt(np.sum(np.maximum(second - mean * mean, 0.0) / 1000)))
+        norms, mean_norm = q.vnorm(y), float(q.vnorm(mean))
+        got = regions._mc_mean(norms, 1000, mean_norm)
+        assert got[0] == mean_norm and abs(got[1] - recipe) <= 1e-13 * recipe
+        for k in (-1000, -500, 500, 1000):
+            scaled = regions._mc_mean(np.ldexp(norms, k), 1000, math.ldexp(mean_norm, k))
+            assert scaled == tuple(math.ldexp(v, k) for v in got)
 
 
 def test_tiny_euclidean_balls_have_scale_free_error_bars():
