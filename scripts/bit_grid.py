@@ -24,8 +24,11 @@ Entries:
   stop reason, energy_trace and total_weight.
 * `region <kind> n=.. |c|=.. r=.. seed=..`: `regions.region_barycenter` of
   10^5 proposals (not a power of two, so count * weight rounds) on a
-  geodesic ball, a Euclidean ball and an indicator region (the Euclidean
-  ball's membership in the box c -+ r), n = 1-3,
+  geodesic ball, a Euclidean ball and two indicator regions of the
+  Euclidean ball's membership: `indicator`, in the cube c -+ r (passed as
+  `box=(c - r, c + r)` to a tree whose `indicator_region` takes a box,
+  else as the enclosing ball (c, r)), and `indicator-default`, in the
+  default proposal region, the unit ball, n = 1-3,
   centers |c| e_1 with |c| in {0, 0.5, 0.9, 1 - 2^-53}, radii from 1e-150
   to 1e300 (1e-150, 1e-12, 1e-3, 0.05, 0.3, 1.5, 5, 1e300), seeds 4 and
   7.  The hash covers every field of the SampleSet (points, weights,
@@ -35,7 +38,7 @@ Entries:
   barycenter_standard_error follows as `se=` with every digit (repr), so
   that a last-digit change can be read off the diff.
 
-A run takes about 9 s on 2 cores.
+A run takes about 12 s on 2 cores.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ import sys
 
 _CHILD = r"""
 import hashlib
+import inspect
 import numpy as np
 from qhb import barycenter as bc, regions
 from qhb.verify import random_ball_points
@@ -82,18 +86,34 @@ for n in (1, 2, 3, 4):
                   digest(*solver_fields(res), data.total_weight))
 
 
-def euclidean(center, r):
+BOXED = "box" in inspect.signature(regions.indicator_region).parameters
+
+
+def euclidean_member(center, r):
     c = center.ravel()
 
     def member(pts):
         d = pts.reshape(pts.shape[0], -1) - c
         return np.einsum("ij,ij->i", d, d) < r * r
 
-    return regions.indicator_region(member, center.shape[0], box=(c - r, c + r))
+    return member
+
+
+def euclidean(center, r):
+    # the cube c -+ r: as a box where indicator_region takes one, else as
+    # the enclosing ball (c, r)
+    member, n, c = euclidean_member(center, r), center.shape[0], center.ravel()
+    if BOXED:
+        return regions.indicator_region(member, n, box=(c - r, c + r))
+    return regions.indicator_region(member, n, center, r)
+
+
+def default_ball(center, r):
+    return regions.indicator_region(euclidean_member(center, r), center.shape[0])
 
 
 kinds = {"geodesic": regions.geodesic_ball, "euclidean": regions.euclidean_ball,
-         "indicator": euclidean}
+         "indicator": euclidean, "indicator-default": default_ball}
 for kind, make in kinds.items():
     for n in (1, 2, 3):
         for cn in (0.0, 0.5, 0.9, 1.0 - 2.0 ** -53):

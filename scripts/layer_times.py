@@ -24,17 +24,21 @@ as the median over R rounds of the best of K calls:
 * `stalled solve`: `solve` at tol = 1e-300 of a five-point set at n = 2,
   which ends "stalled"; its count of all `_sweep` calls is reported with
   it;
-* `sampler chunk <ball> n=..`: one chunk of `regions.CHUNK` proposals
+* `sampler chunk <region> n=..`: one chunk of `regions.CHUNK` proposals
   (seed 3, chunk 0) of the geodesic balls B((0.3, 0.1, 0, 0), 1.5) and
-  B(((0.2, 0.1, 0, 0), (0, 0, 0.1, 0)), 1.5) and of the Euclidean balls
-  of radius 0.4 and 0.3 around those centers, whole and split into its
-  stages: `draws` (Philox into the chunk's buffer), `cull` (the
+  B(((0.2, 0.1, 0, 0), (0, 0, 0.1, 0)), 1.5), of the Euclidean balls
+  of radius 0.4 and 0.3 around those centers, and of the indicator region
+  0.1 < |z| < 0.4 in the ball (0, 0.4) (in the box [-0.4, 0.4]^4n on a
+  tree whose `indicator_region` takes a box) at n = 1, 2, whole and split
+  into its stages: `draws` (Philox into the chunk's buffer), `cull` (the
   proposal-ball cull of the raw draws) and `survivors` (scaling the
   survivors into the box and testing them with `regions._contains`),
-  with the counts of survivors and of kept points.  On a tree without
-  the cull, `survivors` scales and tests every draw and `cull` is absent;
-* `region <ball> n=..`: the whole `regions.region_barycenter` of each of
-  those balls at 2^20 proposals (seed 3), and `sample+solve`, its
+  with the counts of survivors and of kept points.  The box and the cull
+  come from `regions._proposal`, or from `box_lo`, `box_hi` and
+  `regions._proposal_ball` on a tree without it.  On a tree without the
+  cull, `survivors` scales and tests every draw and `cull` is absent;
+* `region <region> n=..`: the whole `regions.region_barycenter` of each of
+  those regions at 2^20 proposals (seed 3), and `sample+solve`, its
   `sample_region` and `solve` alone; `se` is the difference of the two,
   the standard-error pass.  Only public calls, so it runs on every tree.
 
@@ -52,7 +56,7 @@ import subprocess
 import sys
 
 _CHILD = r"""
-import json, sys, time
+import inspect, json, sys, time
 import numpy as np
 from qhb import barycenter as bc, geometry, mobius, regions
 from qhb.verify import random_ball_point, random_weighted_points
@@ -127,29 +131,47 @@ centers = {1: [[0.3, 0.1, 0, 0]], 2: [[0.2, 0.1, 0, 0], [0, 0, 0.1, 0]]}
 chunk_specs = {f"geodesic n={n}": regions.geodesic_ball(c, 1.5) for n, c in centers.items()}
 chunk_specs.update({f"euclidean n={n}": regions.euclidean_ball(c, 0.5 - 0.1 * n)
                     for n, c in centers.items()})
+
+
+def shell(pts):
+    r2 = np.einsum("...ij,...ij->...", pts, pts)
+    return (r2 > 0.1 ** 2) & (r2 < 0.4 ** 2)
+
+
+for n in (1, 2):
+    if "box" in inspect.signature(regions.indicator_region).parameters:
+        box = (np.full(4 * n, -0.4), np.full(4 * n, 0.4))
+        chunk_specs[f"indicator n={n}"] = regions.indicator_region(shell, n, box=box)
+    else:
+        chunk_specs[f"indicator n={n}"] = regions.indicator_region(shell, n, radius=0.4)
 key = np.array([3, 0], dtype=np.uint64)
 for name, spec in chunk_specs.items():
     row = f"sampler chunk {name}"
     buf = np.empty((regions.CHUNK, 4 * spec.n))
-    width = spec.box_hi - spec.box_lo
+    if hasattr(regions, "_proposal"):
+        proposal = regions._proposal(spec)
+        lo, width, cull = proposal[0], proposal[1], proposal[2:]
+    else:
+        lo, width = spec.box_lo, spec.box_hi - spec.box_lo
+        proposal = regions._proposal_ball(spec) if hasattr(regions, "_proposal_ball") else None
+        cull = (proposal,) if proposal else ()
 
     def draws():
         np.random.Generator(np.random.Philox(key=key)).random(out=buf)
 
     draws()
-    if hasattr(regions, "_cull"):
-        ball = regions._proposal_ball(spec)
-        survivors = regions._cull(buf, ball)
+    if cull:
+        survivors = regions._cull(buf, *cull)
         jobs = [(0, regions.CHUNK)]
-        out[f"{row} ms"] = timed(lambda: regions._sample_chunks(spec, 3, jobs, ball))
-        out[f"{row} cull ms"] = timed(lambda: regions._cull(buf, ball))
+        out[f"{row} ms"] = timed(lambda: regions._sample_chunks(spec, 3, jobs, proposal))
+        out[f"{row} cull ms"] = timed(lambda: regions._cull(buf, *cull))
     else:
         survivors = buf
         out[f"{row} ms"] = timed(lambda: regions._sample_chunk(spec, 3, 0, regions.CHUNK))
 
     def scale_and_test():
         pts = survivors * width
-        pts += spec.box_lo
+        pts += lo
         return regions._contains(spec, pts.reshape(-1, spec.n, 4))
 
     out[f"{row} draws ms"] = timed(draws)

@@ -80,17 +80,18 @@ class GeodesicChart:
 
 
 def geodesic_chart(base, direction) -> GeodesicChart:
-    """The geodesic from base toward a finite nonzero direction of the same n."""
+    """The geodesic from base toward a finite nonzero direction of the same
+    n, of any scale."""
     phi = mobius.hua_new(base)
     direction = q.hvector(direction, phi.n)
     if not np.all(np.isfinite(direction)):
         raise NonFinite("direction must be finite")
+    if not np.any(direction):
+        raise DegenerateGeodesic("zero direction")
     dn = float(q.vnorm(direction))
-    if not math.isfinite(dn):  # |direction|^2 overflowed: rescale first
+    if not 2.0 ** -511 <= dn < math.inf:  # |direction|^2 is not a normal float
         direction = direction / np.max(np.abs(direction))
         dn = float(q.vnorm(direction))
-    if dn < _COINCIDENT:
-        raise DegenerateGeodesic("zero direction")
     return GeodesicChart(phi=phi, direction=direction / dn)
 
 

@@ -729,3 +729,61 @@ def test_energy_convex_along_geodesics(rng):
         vals = verify._energy_batch(data, geometry.geodesic_point(chart, ts))
         second = vals[:-2] - 2 * vals[1:-1] + vals[2:]
         assert np.all(second > 0.0)
+
+
+def _real_slice_newton(ys, w, sign=-1.0):
+    """The barycenter of real points ys (N, n) with weights w, by Newton on
+    the energy of R^n inside H^n, an independent reference for solve:
+
+        G(x) = sum_i w_i log((1 - x.y_i)^2 / ((1 - |x|^2)(1 - |y_i|^2))),
+
+    with the gradient -2 sum w y/(1 - x.y) + 2W x/(1 - |x|^2) and the Hessian
+    -2 sum w y y^T/(1 - x.y)^2 + W(2I/(1 - |x|^2) + 4 x x^T/(1 - |x|^2)^2)
+    (sign = +1 flips its first term).  G need not be convex in x: where the
+    Hessian is not positive definite the step is the gradient over the
+    Hessian's norm.  A step longer than 1e-3, or not Newton's, is halved
+    until G falls and x stays in the ball (closer in, G's rounding hides
+    the fall); it stops after a Newton step of norm at most 1e-13, which
+    quadratic convergence reaches within 8 such short steps."""
+    total, x, close = np.sum(w), np.zeros(ys.shape[1]), 0
+
+    def energy(x):
+        return np.sum(w * np.log((1.0 - ys @ x) ** 2)) - total * math.log(1.0 - x @ x)
+
+    for _ in range(200):
+        a, b = 1.0 - ys @ x, 1.0 - x @ x
+        grad = -2.0 * (w / a) @ ys + 2.0 * total * x / b
+        hess = (sign * 2.0 * (ys.T * (w / a**2)) @ ys
+                + total * (2.0 * np.eye(x.size) / b + 4.0 * np.outer(x, x) / b**2))
+        convex = np.all(np.linalg.eigvalsh(hess) > 0.0)
+        step = np.linalg.solve(hess, grad) if convex else grad / np.linalg.norm(hess, 2)
+        if convex and np.linalg.norm(step) <= 1e-3:
+            x, close = x - step, close + 1
+            if np.linalg.norm(step) <= 1e-13:
+                return x
+            assert close < 8, "no quadratic convergence: is the Hessian right?"
+            continue
+        eta = next(eta for eta in 0.5 ** np.arange(60)
+                   if np.sum((x - eta * step) ** 2) < 1.0 and energy(x - eta * step) < energy(x))
+        x = x - eta * step
+    raise AssertionError("the reference Newton did not stop")
+
+
+def test_solve_on_the_real_slice_matches_an_independent_newton():
+    # real points have a real barycenter, and solve finds it within 1.6e-12
+    # of the reference; the reference's fixed point depends only on its
+    # gradient, and its quadratic convergence checks its Hessian (with the
+    # first term's sign flipped it fails on 58 of these 60 sets)
+    rng = np.random.default_rng(2027)
+    for _ in range(60):
+        n, size = int(rng.integers(2, 5)), int(rng.integers(3, 12))
+        dirs = rng.standard_normal((size, n))
+        ys = dirs / np.linalg.norm(dirs, axis=1)[:, None] * rng.uniform(0.0, 0.95, (size, 1))
+        w = 10.0 ** rng.uniform(-3.0, 3.0, size)
+        pts = np.zeros((size, n, 4))
+        pts[..., 0] = ys
+        res = bc.solve(bc.WeightedPoints(points=pts, weights=w))
+        assert res.converged
+        assert np.all(res.barycenter[:, 1:] == 0.0)
+        ref = pt(*_real_slice_newton(ys, w))
+        assert float(geometry.distance(res.barycenter, ref)) <= 1e-11

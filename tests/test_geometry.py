@@ -294,9 +294,15 @@ def test_geodesic_chart_rejects_bad_direction(direction, error):
 
 
 def test_geodesic_chart_with_an_overflowing_direction_norm():
-    # |direction|^2 overflows to inf; the chart still gets the unit direction
+    # |direction|^2 overflows to inf, or is tiny, subnormal or 0 though the
+    # direction is not: a direction has no scale, so the chart still gets
+    # the unit direction
     for big, unit in (([[1e200, 0.0, 0.0, 0.0]], [[1.0, 0.0, 0.0, 0.0]]),
-                      ([[3e300, -4e300, 0.0, 0.0]], [[0.6, -0.8, 0.0, 0.0]])):
+                      ([[3e300, -4e300, 0.0, 0.0]], [[0.6, -0.8, 0.0, 0.0]]),
+                      ([[1e-20, 0.0, 0.0, 0.0]], [[1.0, 0.0, 0.0, 0.0]]),
+                      ([[1e-200, 0.0, 0.0, 0.0]], [[1.0, 0.0, 0.0, 0.0]]),
+                      ([[3e-200, -4e-200, 0.0, 0.0]], [[0.6, -0.8, 0.0, 0.0]]),
+                      ([[0.0, 0.0, 5e-324, 0.0]], [[0.0, 0.0, 1.0, 0.0]])):
         chart = geometry.geodesic_chart(pt(0.1), big)
         ref = geometry.geodesic_chart(pt(0.1), unit)
         assert np.allclose(chart.direction, ref.direction, rtol=0.0, atol=1e-15)

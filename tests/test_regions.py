@@ -35,46 +35,58 @@ def test_factory_validation():
     with pytest.raises(QhbError):
         cli.region_from_json({"kind": "cube", "center": [[0, 0, 0, 0]],
                               "radius": 1.0, "dimension": 1})
+    def every(p):
+        return np.ones(len(p), bool)
+
     with pytest.raises(DimensionMismatch):
-        regions.indicator_region(lambda p: np.ones(len(p), bool), 0)
+        regions.indicator_region(every, 0)
+    # an indicator's enclosing ball is checked as the ball factories' are
     for bad in (math.nan, math.inf):
-        box = (np.full(4, -0.5), np.full(4, 0.5))
-        box[1][2] = bad
         with pytest.raises(NonFinite):
-            regions.indicator_region(lambda p: np.ones(len(p), bool), 1, box=box)
+            regions.indicator_region(every, 1, [[0.1, 0.0, bad, 0.0]], 0.5)
+        with pytest.raises(NonFinite):
+            regions.indicator_region(every, 1, E1, bad)
+    for radius in (0.0, -0.5):
+        with pytest.raises(QhbError):
+            regions.indicator_region(every, 1, E1, radius)
+    with pytest.raises(NotInBall):
+        regions.indicator_region(every, 1, [[1.0, 0.0, 0.0, 0.0]], 0.5)
+    with pytest.raises(DimensionMismatch):
+        regions.indicator_region(every, 2, E1, 0.5)
     for n in (1, 2):
         column = regions.indicator_region(lambda p: np.ones((len(p), 1), bool), n)
         with pytest.raises(QhbError, match=r"returned shape \(\d+, 1\)"):
             regions.sample_region(column, 1000, seed=0)
 
 
-def test_indicator_box_whose_side_overflows_is_refused():
-    # lo and hi are finite but hi - lo is not: refused before the sampler
-    # scales a draw by the side (the subtraction overflowed there, and two
-    # RuntimeWarnings leaked before EmptyRegion)
-    c = np.full(8, 0.25)
-    for side in (0, 5):
-        lo, hi = c - 0.5, c + 0.5
-        lo[side], hi[side] = c[side] - 1.7e308, c[side] + 1.7e308
+def test_indicator_radius_is_capped_at_the_unit_ball():
+    # a radius past 1 + |c| is taken as 1 + |c|, whose ball holds the unit
+    # ball: the same region, with r^2 and the box sides finite, so neither
+    # an OverflowError (1e300 ** 2) nor a RuntimeWarning arises
+    c = np.full((2, 4), 0.25)
+    cap = 1.0 + float(q.vnorm(c))
+    want = _sample_fields(regions.sample_region(
+        regions.indicator_region(lambda p: q.vnorm2(p) > 0.04, 2, c, cap), 3000, 4))
+    for radius in (1e300, 1.7e308):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NonFinite, match=rf"^box side {side}: hi - lo overflows$"):
-                regions.indicator_region(lambda p: np.ones(len(p), bool), 2, box=(lo, hi))
-    # a side just below the largest float is still a box
-    regions.indicator_region(lambda p: np.ones(len(p), bool), 1, box=(c[:4] - 8e307, c[:4] + 8e307))
+            spec = regions.indicator_region(lambda p: q.vnorm2(p) > 0.04, 2, c, radius)
+            assert spec.radius == cap
+            got = _sample_fields(regions.sample_region(spec, 3000, 4))
+        assert all(map(np.array_equal, got, want)), radius
 
 
 _UNIT = math.nextafter(1.0, 0.0)
 # |q| of centers and points: the boundary margin's sqrt(MAX_NORM2) and the
 # float below 1 included
 _NORMS = st.one_of(st.sampled_from([0.0, math.sqrt(bc.MAX_NORM2), _UNIT]), st.floats(0.0, _UNIT))
-_SIZES = st.floats(5e-324, 1.7e308)  # radii and box half-widths
+_SIZES = st.floats(5e-324, 1.7e308)  # radii
 
 
 @st.composite
 def _api_cases(draw):
-    """(n, center, radius, box half-width, points, weights) of one call each
-    to the region factories, region_barycenter and solve."""
+    """(n, center, radius, indicator radius, points, weights) of one call
+    each to the region factories, region_barycenter and solve."""
     n = draw(st.integers(1, 3))
 
     def point():
@@ -94,9 +106,9 @@ def _api_cases(draw):
 @example(case=(1, np.zeros((1, 4)), 0.5, 1.7e308, np.zeros((1, 1, 4)), np.ones(1)))
 def test_api_raises_only_qhb_errors(case):
     # any input either works or raises a QhbError, without a warning: the
-    # example's box passes the bounds check but its sides overflow
+    # example's indicator radius, 1.7e308, is capped at 1 + |c|, so that its
+    # square and the box sides stay finite
     n, center, radius, half, points, weights = case
-    c = center.ravel()
 
     def inside(pts):  # the Euclidean ball, by norms that cannot overflow
         return q.vnorm(pts - center) < radius
@@ -105,7 +117,7 @@ def test_api_raises_only_qhb_errors(case):
         lambda: regions.geodesic_ball(center, radius),
         lambda: regions.euclidean_ball(center, radius),
         lambda: regions.indicator_region(inside, n),
-        lambda: regions.indicator_region(inside, n, box=(c - half, c + half)),
+        lambda: regions.indicator_region(inside, n, center, half),
     ]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -160,10 +172,10 @@ def test_determinism_across_thread_counts(monkeypatch):
     # five chunks, the last partial: the workers' runs of chunks differ in
     # length, and their parts still concatenate in chunk order
     count = 4 * regions.CHUNK + 123
-    box = (np.array([-0.5, -0.7, -0.2, -0.6]), np.array([0.6, 0.3, 0.5, 0.1]))
     for spec in (regions.geodesic_ball(E1, 1.0),
                  regions.euclidean_ball([[0.2, 0.0, 0.1, 0.0], [0.0, 0.1, 0.0, 0.0]], 0.3),
-                 regions.indicator_region(lambda p: q.vnorm2(p) > 0.04, 1, box=box)):
+                 regions.indicator_region(lambda p: q.vnorm2(p) > 0.04, 1,
+                                          [[0.05, -0.2, 0.15, -0.25]], 0.55)):
         monkeypatch.setenv("QHB_THREADS", "1")
         a = regions.sample_region(spec, count, seed=9)
         for threads in ("2", "4"):
@@ -206,10 +218,12 @@ def test_empty_region_and_bad_count():
 
 @pytest.mark.parametrize("seed", [0, 7, 2**32 + 5, 2**63 - 1])
 def test_sampler_stream_is_keyed_by_seed_and_chunk(seed):
-    # every proposal of a box inside the ball is accepted, so the sample is
-    # the box-scaled stream of Philox keyed by (seed, chunk index), chunk 1 too
+    # the region |z|^2 < 0.16 in the ball (0, 0.4) keeps every proposal of
+    # its box [-0.4, 0.4]^4 inside |z|^2 < 0.16, so the sample is the
+    # box-scaled stream of Philox keyed by (seed, chunk index), chunk 1 too,
+    # less the points outside that ball
     lo, hi = np.full(4, -0.4), np.full(4, 0.4)
-    spec = regions.indicator_region(lambda p: np.ones(len(p), bool), 1, box=(lo, hi))
+    spec = regions.indicator_region(lambda p: q.vnorm2(p) < 0.16, 1, ORIGIN1, 0.4)
     sizes = (regions.CHUNK, 50)
     got = regions.sample_region(spec, sum(sizes), seed).samples.points.reshape(-1, 4)
     parts = []
@@ -217,7 +231,7 @@ def test_sampler_stream_is_keyed_by_seed_and_chunk(seed):
         flat = np.random.Generator(np.random.Philox(key=[seed, index])).random((size, 4))
         flat *= hi - lo
         flat += lo
-        parts.append(flat)
+        parts.append(flat[np.einsum("ij,ij->i", flat, flat) < 0.16])
     assert np.array_equal(got, np.concatenate(parts))
 
 
@@ -259,11 +273,12 @@ def test_geodesic_sampler_accepts_the_metric_ball(n):
         charts = [geometry.geodesic_chart(center, d) for d in rng.standard_normal((20, n, 4))]
         for rho in (1e-9, 1e-6, 0.3, 1.5, 3.0, 1e3):
             spec = regions.geodesic_ball(center, rho)
+            lo, width = regions._proposal(spec)[:2]
             parts = []
             for index, size in enumerate(sizes):
                 flat = np.random.Generator(np.random.Philox(key=[11, index])).random((size, 4 * n))
-                flat *= spec.box_hi - spec.box_lo
-                flat += spec.box_lo
+                flat *= width
+                flat += lo
                 pts = flat.reshape(size, n, 4)
                 pts = pts[q.vnorm2(pts) < bc.MAX_NORM2]
                 parts.append(pts[_hua_distance(pts, center) < rho])
@@ -293,19 +308,20 @@ def test_geodesic_sampler_accepts_the_metric_ball(n):
 def _culled(spec, pts):
     """The points pts (M, n, 4) whose raw draws u = (z - box_lo) / width
     the sampler's cull keeps, as draws."""
-    u = (pts.reshape(pts.shape[0], -1) - spec.box_lo) / (spec.box_hi - spec.box_lo)
-    return regions._cull(u, regions._proposal_ball(spec))
+    lo, width, uc2, t = regions._proposal(spec)
+    return regions._cull((pts.reshape(pts.shape[0], -1) - lo) / width, uc2, t)
 
 
 def _kept_every_draw(spec, count, seed):
     """The sampler's recipe with no cull: scale every draw of every chunk
     into the box and keep the rows _contains keeps, in order."""
+    lo, width = regions._proposal(spec)[:2]
     parts = []
     for index in range(-(-count // regions.CHUNK)):
         size = min(regions.CHUNK, count - index * regions.CHUNK)
         flat = np.random.Generator(np.random.Philox(key=[seed, index])).random((size, 4 * spec.n))
-        flat *= spec.box_hi - spec.box_lo
-        flat += spec.box_lo
+        flat *= width
+        flat += lo
         parts.append(regions._contains(spec, flat.reshape(size, spec.n, 4)))
     return np.concatenate(parts)
 
@@ -315,7 +331,7 @@ def _sample_every_draw(spec, count, seed):
     pts = _kept_every_draw(spec, count, seed)
     if not pts.shape[0]:
         raise EmptyRegion(f"no proposals accepted out of {count}")
-    volume = float(np.prod(spec.box_hi - spec.box_lo))
+    volume = float(np.prod(regions._proposal(spec)[1]))
     vals = geometry.measure_density(pts) * volume
     if not np.all(vals / count > 0.0):
         raise EmptyRegion(f"region too small to weigh: its proposal box has volume "
@@ -343,15 +359,19 @@ def _edge_specs():
                 if float(q.vnorm(center)) + r < 1.0:
                     yield pytest.param(regions.euclidean_ball(center, r),
                                        id=f"euc-n{n}-c{name}-{r:g}")
-        lo, hi = np.linspace(-0.9, -0.1, 4 * n), np.linspace(0.2, 0.95, 4 * n)
-        yield pytest.param(regions.indicator_region(lambda p: q.vnorm2(p) > 0.04, n, box=(lo, hi)),
-                           id=f"indicator-n{n}")
+        # a ball that reaches past the sphere, so MAX_NORM2 drops points of
+        # its box before the callback sees them
+        yield pytest.param(regions.indicator_region(lambda p: q.vnorm2(p) > 0.04, n,
+                                                    0.5 * unit, 0.6), id=f"indicator-n{n}")
     # boxes with a side of 0 (a radius below the rounding of the center, or
     # one whose half underflows) or of 1e-300, too narrow for a ball in u
     yield pytest.param(regions.euclidean_ball([[0.5, 0.0, 0.0, 0.0]], 1e-17), id="euc-side-0")
     yield pytest.param(regions.geodesic_ball(ORIGIN1, 5e-324), id="geo-side-0")
-    box = (np.array([1e-300, 0.3, 0.3, 0.3]), np.array([2e-300, 0.31, 0.31, 0.31]))
-    yield pytest.param(regions.indicator_region(lambda p: np.ones(len(p), bool), 1, box=box),
+    yield pytest.param(regions.indicator_region(lambda p: np.ones(len(p), bool), 1,
+                                                [[0.5, 0.0, 0.0, 0.0]], 1e-17),
+                       id="indicator-side-0")
+    yield pytest.param(regions.indicator_region(lambda p: np.ones(len(p), bool), 1,
+                                                [[1.5e-300, 0.0, 0.0, 0.0]], 5e-301),
                        id="indicator-side-1e-300")
 
 
@@ -375,7 +395,7 @@ def test_cull_keeps_the_sample_of_every_draw(spec):
     # the kept rows themselves, also where their weights are then refused
     # (weights that round to 0)
     jobs = [(0, regions.CHUNK), (1, 50)]
-    kept = regions._sample_chunks(spec, 4, jobs, regions._proposal_ball(spec))
+    kept = regions._sample_chunks(spec, 4, jobs, regions._proposal(spec))
     assert np.array_equal(np.concatenate(kept), _kept_every_draw(spec, count, 4))
 
 
@@ -563,12 +583,11 @@ _CENTERS = {1: [[0.3, 0.1, 0.0, 0.0]], 2: [[0.2, 0.1, 0.0, 0.0], [0.0, 0.0, 0.1,
 def _se_cases():
     for n, center in _CENTERS.items():
         count = {1: 100_000, 2: 300_000, 3: 1 << 20}[n]
-        box = (np.full(4 * n, -0.4), np.full(4 * n, 0.4))
         yield pytest.param(regions.geodesic_ball(center, 1.5), count, None, "converged",
                            id=f"geo-n{n}")
         yield pytest.param(regions.euclidean_ball(center, 0.3), count, None, "converged",
                            id=f"euc-n{n}")
-        yield pytest.param(regions.indicator_region(_shell, n, box=box), count, None,
+        yield pytest.param(regions.indicator_region(_shell, n, radius=0.4), count, None,
                            "converged", id=f"indicator-n{n}")
     yield pytest.param(regions.geodesic_ball(_CENTERS[2], 1.5), 300_000,
                        bc.SolverConfig(max_iters=1), "max_iters", id="geo-n2-max_iters")
@@ -699,12 +718,12 @@ def test_pushforward_of_region_barycenter():
     assert dev <= 3.0 * combined
 
 
-def test_indicator_region_with_box():
+def test_indicator_region_in_a_ball():
     def in_shell(pts):
         r2 = q.vnorm2(pts)
         return (r2 > 0.1**2) & (r2 < 0.4**2)
 
-    spec = regions.indicator_region(in_shell, 1, box=(np.full(4, -0.4), np.full(4, 0.4)))
+    spec = regions.indicator_region(in_shell, 1, ORIGIN1, 0.4)
     ss = regions.sample_region(spec, 100_000, seed=8)
     norms = q.vnorm(ss.samples.points)
     assert np.all((norms > 0.1) & (norms < 0.4))
@@ -712,3 +731,54 @@ def test_indicator_region_with_box():
     exact = float(geometry.ball_volume(2 * math.atanh(0.4), 1)
                   - geometry.ball_volume(2 * math.atanh(0.1), 1))
     assert abs(ss.total_mass_estimate - exact) <= 3.0 * ss.standard_error
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_all_true_indicator_in_a_ball_is_the_euclidean_ball(n):
+    # an indicator region whose callback keeps everything is its ball: the
+    # same proposal box, cull and ball test as euclidean_ball, bit for bit
+    rng = np.random.default_rng(60 + n)
+    unit = rng.standard_normal((n, 4))
+    unit /= np.linalg.norm(unit)
+    for norm in (0.0, 0.3, 0.6, 0.9):
+        for r in (1e-6, 0.09):
+            center = norm * unit
+            every = regions.indicator_region(lambda p: np.ones(len(p), bool), n, center, r)
+            got = _outcome(lambda: _sample_fields(regions.sample_region(every, 20_000, 5)))
+            want = _outcome(lambda: _sample_fields(
+                regions.sample_region(regions.euclidean_ball(center, r), 20_000, 5)))
+            assert len(got) == len(want) and all(map(np.array_equal, got, want)), (norm, r)
+
+
+def _shell_mass(n):
+    return float(geometry.ball_volume(2 * math.atanh(0.4), n)
+                 - geometry.ball_volume(2 * math.atanh(0.1), n))
+
+
+_XFAIL_LARGE_BALL = pytest.mark.xfail(
+    strict=True, reason="box proposals miss the thin shell near the sphere that holds most of "
+                        "a large ball's mass: the mass is far off, with a small error bar")
+
+
+@pytest.mark.parametrize("spec, count, exact", [
+    *[pytest.param(regions.geodesic_ball(E1, rho), 1 << 16, float(geometry.ball_volume(rho, 1)),
+                   id=f"geo-n1-{rho:g}") for rho in (0.5, 1.5, 3.0, 5.0)],
+    pytest.param(regions.geodesic_ball(np.vstack([E1, ORIGIN1]), 1.5), 1 << 18,
+                 float(geometry.ball_volume(1.5, 2)), id="geo-n2-1.5"),
+    *[pytest.param(regions.indicator_region(_shell, n, radius=0.4), 1 << (14 + 2 * n),
+                   _shell_mass(n), id=f"indicator-shell-n{n}") for n in (1, 2)],
+    pytest.param(regions.geodesic_ball(E1, 20.0), 1 << 16, float(geometry.ball_volume(20.0, 1)),
+                 marks=_XFAIL_LARGE_BALL, id="geo-n1-20"),
+    pytest.param(regions.geodesic_ball(np.vstack([E1, ORIGIN1]), 20.0), 1 << 18,
+                 float(geometry.ball_volume(20.0, 2)), marks=_XFAIL_LARGE_BALL, id="geo-n2-20"),
+])
+def test_mass_error_bar_is_calibrated_over_seeds(spec, count, exact):
+    # z = (mass - exact)/SE over 40 seeds: for a calibrated error bar the
+    # RMS of z is sqrt(chi^2_40/40), inside [0.61, 1.43] with probability
+    # 1 - 2e-4 (its 1e-4 and 1 - 1e-4 quantiles)
+    z = []
+    for seed in range(40):
+        ss = regions.sample_region(spec, count, seed)
+        z.append((ss.total_mass_estimate - exact) / ss.standard_error)
+    rms = math.sqrt(np.mean(np.square(z)))
+    assert 0.61 <= rms <= 1.43, rms
