@@ -5,11 +5,10 @@ Usage:
 
     python scripts/bit_grid.py SRC_DIR
 
-The source tree SRC_DIR is imported in a child process with one sampler
-thread (QHB_THREADS=1) and OPENBLAS_NUM_THREADS=min(2, nproc), as
-scripts/layer_times.py runs it, unless the caller set them.  Two trees
-(say, a checkout of the parent commit's src and the working tree's src)
-are compared by
+The source tree SRC_DIR is imported in a child process with
+OPENBLAS_NUM_THREADS=min(2, nproc), as scripts/layer_times.py runs it,
+unless the caller set it.  Two trees (say, a checkout of the parent
+commit's src and the working tree's src) are compared by
 
     python scripts/bit_grid.py ../parent/src > before.txt
     python scripts/bit_grid.py src > after.txt
@@ -25,10 +24,9 @@ Entries:
 * `region <kind> n=.. |c|=.. r=.. seed=..`: `regions.region_barycenter` of
   10^5 proposals (not a power of two, so count * weight rounds) on a
   geodesic ball, a Euclidean ball and two indicator regions of the
-  Euclidean ball's membership: `indicator`, in the cube c -+ r (passed as
-  `box=(c - r, c + r)` to a tree whose `indicator_region` takes a box,
-  else as the enclosing ball (c, r)), and `indicator-default`, in the
-  default proposal region, the unit ball, n = 1-3,
+  Euclidean ball's membership: `indicator`, in the enclosing ball (c, r),
+  and `indicator-default`, in the default proposal region, the unit
+  ball, n = 1-3,
   centers |c| e_1 with |c| in {0, 0.5, 0.9, 1 - 2^-53}, radii from 1e-150
   to 1e300 (1e-150, 1e-12, 1e-3, 0.05, 0.3, 1.5, 5, 1e300), seeds 4 and
   7.  The hash covers every field of the SampleSet (points, weights,
@@ -49,7 +47,6 @@ import sys
 
 _CHILD = r"""
 import hashlib
-import inspect
 import numpy as np
 from qhb import barycenter as bc, regions
 from qhb.verify import random_ball_points
@@ -86,9 +83,6 @@ for n in (1, 2, 3, 4):
                   digest(*solver_fields(res), data.total_weight))
 
 
-BOXED = "box" in inspect.signature(regions.indicator_region).parameters
-
-
 def euclidean_member(center, r):
     c = center.ravel()
 
@@ -100,12 +94,7 @@ def euclidean_member(center, r):
 
 
 def euclidean(center, r):
-    # the cube c -+ r: as a box where indicator_region takes one, else as
-    # the enclosing ball (c, r)
-    member, n, c = euclidean_member(center, r), center.shape[0], center.ravel()
-    if BOXED:
-        return regions.indicator_region(member, n, box=(c - r, c + r))
-    return regions.indicator_region(member, n, center, r)
+    return regions.indicator_region(euclidean_member(center, r), center.shape[0], center, r)
 
 
 def default_ball(center, r):
@@ -143,7 +132,6 @@ def main(argv: list[str]) -> int:
         return 2
     env = {**os.environ, "PYTHONPATH": os.path.abspath(argv[1])}
     env.setdefault("OPENBLAS_NUM_THREADS", str(min(2, os.cpu_count() or 1)))
-    env.setdefault("QHB_THREADS", "1")
     proc = subprocess.run([sys.executable, "-W", "error", "-c", _CHILD], env=env,
                           capture_output=True, text=True)
     sys.stdout.write(proc.stdout)

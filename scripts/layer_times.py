@@ -28,23 +28,21 @@ as the median over R rounds of the best of K calls:
   (seed 3, chunk 0) of the geodesic balls B((0.3, 0.1, 0, 0), 1.5) and
   B(((0.2, 0.1, 0, 0), (0, 0, 0.1, 0)), 1.5), of the Euclidean balls
   of radius 0.4 and 0.3 around those centers, and of the indicator region
-  0.1 < |z| < 0.4 in the ball (0, 0.4) (in the box [-0.4, 0.4]^4n on a
-  tree whose `indicator_region` takes a box) at n = 1, 2, whole and split
+  0.1 < |z| < 0.4 in the ball (0, 0.4) at n = 1, 2, whole and split
   into its stages: `draws` (Philox into the chunk's buffer), `cull` (the
   proposal-ball cull of the raw draws) and `survivors` (scaling the
   survivors into the box and testing them with `regions._contains`),
   with the counts of survivors and of kept points.  The box and the cull
-  come from `regions._proposal`, or from `box_lo`, `box_hi` and
-  `regions._proposal_ball` on a tree without it.  On a tree without the
-  cull, `survivors` scales and tests every draw and `cull` is absent;
+  come from `regions._proposal`;
 * `region <region> n=..`: the whole `regions.region_barycenter` of each of
-  those regions at 2^20 proposals (seed 3), and `sample+solve`, its
-  `sample_region` and `solve` alone; `se` is the difference of the two,
-  the standard-error pass.  Only public calls, so it runs on every tree.
+  those regions at 2^20 proposals (seed 3); `sample+solve`, its
+  `sample_region` and `solve` alone; and `se`, its standard-error pass
+  alone on that sample and solve: `geometry.distance` of the sample to
+  the barycenter and `regions._mc_mean` of the terms it weighs.
 
 Inputs come from `verify.random_weighted_points` with fixed seeds, and
-the child runs with OPENBLAS_NUM_THREADS=min(2, nproc) and one sampler
-thread (QHB_THREADS=1), as bench/run.py does, unless the caller set them.
+the child runs with OPENBLAS_NUM_THREADS=min(2, nproc) and QHB_THREADS=1,
+as bench/run.py does, unless the caller set them.
 """
 
 from __future__ import annotations
@@ -56,7 +54,7 @@ import subprocess
 import sys
 
 _CHILD = r"""
-import inspect, json, sys, time
+import json, sys, time
 import numpy as np
 from qhb import barycenter as bc, geometry, mobius, regions
 from qhb.verify import random_ball_point, random_weighted_points
@@ -139,35 +137,22 @@ def shell(pts):
 
 
 for n in (1, 2):
-    if "box" in inspect.signature(regions.indicator_region).parameters:
-        box = (np.full(4 * n, -0.4), np.full(4 * n, 0.4))
-        chunk_specs[f"indicator n={n}"] = regions.indicator_region(shell, n, box=box)
-    else:
-        chunk_specs[f"indicator n={n}"] = regions.indicator_region(shell, n, radius=0.4)
+    chunk_specs[f"indicator n={n}"] = regions.indicator_region(shell, n, radius=0.4)
 key = np.array([3, 0], dtype=np.uint64)
 for name, spec in chunk_specs.items():
     row = f"sampler chunk {name}"
     buf = np.empty((regions.CHUNK, 4 * spec.n))
-    if hasattr(regions, "_proposal"):
-        proposal = regions._proposal(spec)
-        lo, width, cull = proposal[0], proposal[1], proposal[2:]
-    else:
-        lo, width = spec.box_lo, spec.box_hi - spec.box_lo
-        proposal = regions._proposal_ball(spec) if hasattr(regions, "_proposal_ball") else None
-        cull = (proposal,) if proposal else ()
+    proposal = regions._proposal(spec)
+    lo, width, cull = proposal[0], proposal[1], proposal[2:]
 
     def draws():
         np.random.Generator(np.random.Philox(key=key)).random(out=buf)
 
     draws()
-    if cull:
-        survivors = regions._cull(buf, *cull)
-        jobs = [(0, regions.CHUNK)]
-        out[f"{row} ms"] = timed(lambda: regions._sample_chunks(spec, 3, jobs, proposal))
-        out[f"{row} cull ms"] = timed(lambda: regions._cull(buf, *cull))
-    else:
-        survivors = buf
-        out[f"{row} ms"] = timed(lambda: regions._sample_chunk(spec, 3, 0, regions.CHUNK))
+    survivors = regions._cull(buf, *cull)
+    jobs = [(0, regions.CHUNK)]
+    out[f"{row} ms"] = timed(lambda: regions._sample_chunks(spec, 3, jobs, proposal))
+    out[f"{row} cull ms"] = timed(lambda: regions._cull(buf, *cull))
 
     def scale_and_test():
         pts = survivors * width
@@ -178,12 +163,20 @@ for name, spec in chunk_specs.items():
     out[f"{row} survivors ms"] = timed(scale_and_test)
     out[f"{row} survivors"] = survivors.shape[0]
     out[f"{row} kept"] = scale_and_test().shape[0]
+count = 1 << 20
 for name, spec in chunk_specs.items():
     row = f"region {name}"
-    out[f"{row} ms"] = timed(lambda: regions.region_barycenter(spec, 1 << 20, 3))
+    out[f"{row} ms"] = timed(lambda: regions.region_barycenter(spec, count, 3))
     out[f"{row} sample+solve ms"] = timed(
-        lambda: bc.solve(regions.sample_region(spec, 1 << 20, 3).samples))
-    out[f"{row} se ms"] = out[f"{row} ms"] - out[f"{row} sample+solve ms"]
+        lambda: bc.solve(regions.sample_region(spec, count, 3).samples))
+    sample = regions.sample_region(spec, count, 3).samples
+    res = bc.solve(sample)
+
+    def se_pass():
+        t = np.tanh(geometry.distance(sample.points, res.barycenter) / 2.0)
+        return regions._mc_mean(count * sample.weights * t, count, res.residual_norm)
+
+    out[f"{row} se ms"] = timed(se_pass)
 print(json.dumps(out))
 """
 
@@ -196,6 +189,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     env = {**os.environ, "PYTHONPATH": os.path.abspath(args.src)}
     env.setdefault("OPENBLAS_NUM_THREADS", str(min(2, os.cpu_count() or 1)))
+    # a tree that still reads QHB_THREADS is then timed as bench/run.py runs it
     env.setdefault("QHB_THREADS", "1")
     proc = subprocess.run([sys.executable, "-c", _CHILD, str(args.rounds), str(args.reps)],
                           env=env, check=True, capture_output=True, text=True)

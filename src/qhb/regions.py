@@ -34,19 +34,15 @@ The cull costs one |u|^2 and one u.u_c per draw.  Its margins exceed the
 rounding of the scaling and of the cull, so it drops only draws the exact
 test would drop, and the sample is bit for bit that of testing every draw.
 
-Sampling is chunked; each chunk draws from a counter-based generator
-keyed by (seed, chunk index), so results are bit-identical for a fixed
-(spec, count, seed) regardless of how many worker threads run the
-chunks.  Each worker runs one contiguous run of chunks and draws them into
-one buffer.  The thread count is capped by the QHB_THREADS environment
-variable (0 or unset = auto), which must be an integer >= 0.
+Sampling is chunked and runs on the calling thread; each chunk draws
+from a counter-based generator keyed by (seed, chunk index) into one
+buffer, so results are bit-identical for a fixed (spec, count, seed)
+however the chunks are scheduled.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -237,18 +233,6 @@ class SampleSet:
     moment_standard_error: float
 
 
-def _worker_threads() -> int:
-    """QHB_THREADS, or min(8, CPU count) when it is unset or 0."""
-    raw = os.environ.get("QHB_THREADS", "0")
-    try:
-        v = int(raw)
-    except ValueError:
-        v = -1
-    if v < 0:
-        raise QhbError(f"QHB_THREADS must be an integer >= 0, got {raw!r}")
-    return v or min(8, os.cpu_count() or 1)
-
-
 def _sample_chunks(spec: RegionSpec, seed: int, jobs: list, proposal: tuple) -> list:
     """The kept rows of each chunk (index, size) of jobs, in order.  The
     chunks draw into one buffer, and only the draws that _cull keeps are
@@ -284,19 +268,8 @@ def sample_region(spec: RegionSpec, count: int, seed: int) -> SampleSet:
     sizes = [CHUNK] * (count // CHUNK)
     if count % CHUNK:
         sizes.append(count % CHUNK)
-    jobs = list(enumerate(sizes))
-    threads = min(_worker_threads(), len(jobs))
     proposal = _proposal(spec)
-    if threads > 1:
-        # each worker takes one contiguous run of chunks, so the runs'
-        # parts concatenate in chunk order
-        runs = [jobs[len(jobs) * i // threads:len(jobs) * (i + 1) // threads]
-                for i in range(threads)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = sum(pool.map(lambda run: _sample_chunks(spec, seed, run, proposal), runs), [])
-    else:
-        parts = _sample_chunks(spec, seed, jobs, proposal)
-    accepted = np.concatenate(parts, axis=0)
+    accepted = np.concatenate(_sample_chunks(spec, seed, list(enumerate(sizes)), proposal), axis=0)
     if accepted.shape[0] == 0:
         raise EmptyRegion(f"no proposals accepted out of {count}")
 
